@@ -26,6 +26,7 @@
 #include "src/datagen/movie_domain.h"
 #include "src/util/page_cache.h"
 #include "src/util/random.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace bench {
@@ -33,11 +34,12 @@ namespace {
 
 // Fresh scratch directory per store instance; reusing a directory
 // across reps would let epoch leftovers from the previous rep distort
-// file-creation costs.
+// file-creation costs. All of them live under one mkdtemp root that is
+// removed, page files and all, when the bench exits.
 std::string FreshDir() {
+  static const testing_util::ScopedTempDir root("deepcrawl_bench_paged_");
   static int counter = 0;
-  std::string dir = "/tmp/deepcrawl_bench_paged_" + std::to_string(::getpid()) +
-                    "_" + std::to_string(counter++);
+  std::string dir = root.path() + "/" + std::to_string(counter++);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }

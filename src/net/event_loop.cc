@@ -10,7 +10,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace deepcrawl {
 namespace {
@@ -18,6 +17,9 @@ namespace {
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + strerror(errno));
 }
+
+// Events one epoll_wait can harvest.
+constexpr size_t kMaxReadyEvents = 256;
 
 // Packs (fd, generation) into epoll_event.data.u64 so a harvested event
 // can be matched against the CURRENT registration of that fd.
@@ -27,7 +29,7 @@ uint64_t PackTag(int fd, uint64_t generation) {
 
 }  // namespace
 
-EventLoop::EventLoop() = default;
+EventLoop::EventLoop() : ready_(kMaxReadyEvents) {}
 
 EventLoop::~EventLoop() {
   if (wake_fd_ >= 0) close(wake_fd_);
@@ -122,16 +124,14 @@ int EventLoop::EffectiveTimeoutMs(int timeout_ms) const {
 
 Status EventLoop::RunOnce(int timeout_ms) {
   if (epoll_fd_ < 0) return Status::FailedPrecondition("EventLoop not Init()ed");
-  std::vector<struct epoll_event> events(256);
-  int n = epoll_wait(epoll_fd_, events.data(),
-                     static_cast<int>(events.size()),
+  int n = epoll_wait(epoll_fd_, ready_.data(), static_cast<int>(ready_.size()),
                      EffectiveTimeoutMs(timeout_ms));
   if (n < 0) {
     if (errno == EINTR) return Status::OK();
     return Errno("epoll_wait");
   }
   for (int i = 0; i < n; ++i) {
-    uint64_t tag = events[i].data.u64;
+    uint64_t tag = ready_[i].data.u64;
     int fd = static_cast<int>(tag & 0xffffffffu);
     uint64_t generation = tag >> 32;
     if (fd == wake_fd_) {
@@ -144,7 +144,7 @@ Status EventLoop::RunOnce(int timeout_ms) {
     if (it == handlers_.end() || it->second.generation != generation) {
       continue;
     }
-    it->second.callback(events[i].events);
+    it->second.callback(ready_[i].events);
   }
   RunDueTimers();
   return Status::OK();

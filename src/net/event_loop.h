@@ -24,11 +24,14 @@
 #ifndef DEEPCRAWL_NET_EVENT_LOOP_H_
 #define DEEPCRAWL_NET_EVENT_LOOP_H_
 
+#include <sys/epoll.h>
+
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "src/util/status.h"
 
@@ -99,6 +102,8 @@ class EventLoop {
   uint64_t next_generation_ = 1;
   std::unordered_map<int, Handler> handlers_;
   std::multimap<uint64_t, std::function<void()>> timers_;
+  // epoll_wait's output buffer, reused by every RunOnce.
+  std::vector<struct epoll_event> ready_;
 };
 
 }  // namespace deepcrawl

@@ -102,6 +102,14 @@ bool IsFetchType(WireMessageType type) {
   }
 }
 
+void EncodeResponseBody(CheckpointWriter& body, uint64_t request_id,
+                        const StatusOr<ResultPage>& result) {
+  body.WriteU8(static_cast<uint8_t>(WireMessageType::kPageResult));
+  body.WriteU64(request_id);
+  EncodeStatus(body, result.status());
+  if (result.ok()) EncodePage(body, *result);
+}
+
 std::string FinishFrame(CheckpointWriter& body) {
   return EncodeWireFrame(body.buffer());
 }
@@ -228,11 +236,22 @@ std::string EncodeRequestFrame(const WireRequest& request) {
 std::string EncodeResponseFrame(uint64_t request_id,
                                 const StatusOr<ResultPage>& result) {
   CheckpointWriter body;
-  body.WriteU8(static_cast<uint8_t>(WireMessageType::kPageResult));
-  body.WriteU64(request_id);
-  EncodeStatus(body, result.status());
-  if (result.ok()) EncodePage(body, *result);
+  EncodeResponseBody(body, request_id, result);
   return FinishFrame(body);
+}
+
+void AppendResponseFrame(std::string& out, uint64_t request_id,
+                         const StatusOr<ResultPage>& result) {
+  const size_t frame_start = out.size();
+  out.append(4, '\0');  // length prefix, filled in once the frame is closed
+  const size_t body_start = OpenCheckpointFrame(out, kWireProtocolVersion);
+  CheckpointWriter body(std::move(out));
+  EncodeResponseBody(body, request_id, result);
+  out = body.TakeBuffer();
+  CloseCheckpointFrame(out, body_start);
+  CheckpointWriter len;
+  len.WriteU32(static_cast<uint32_t>(out.size() - frame_start - 4));
+  out.replace(frame_start, 4, len.buffer());
 }
 
 std::string EncodeGoAwayFrame(const Status& status) {

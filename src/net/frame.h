@@ -137,6 +137,12 @@ std::string EncodeRequestFrame(const WireRequest& request);
 // (fault injections included) cross the wire unchanged.
 std::string EncodeResponseFrame(uint64_t request_id,
                                 const StatusOr<ResultPage>& result);
+// Appends the same bytes as EncodeResponseFrame to `out`, encoding the
+// frame in place (no intermediate body or frame string); bytes already
+// in `out` are left untouched. The server frames responses straight
+// into a connection's outbox this way.
+void AppendResponseFrame(std::string& out, uint64_t request_id,
+                         const StatusOr<ResultPage>& result);
 std::string EncodeGoAwayFrame(const Status& status);
 
 // --- decoding ---------------------------------------------------------

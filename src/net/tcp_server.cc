@@ -184,21 +184,20 @@ bool WebDbTcpServer::DrainReadable(Connection& conn) {
     return false;
   }
   if (conn.shedding) return true;
+  // Every response to this read batch lands in the outbox first and
+  // leaves in one write below, instead of one write (one segment, one
+  // client wakeup) per response.
   std::string body;
   for (;;) {
     StatusOr<bool> next = conn.assembler.Next(&body);
-    if (!next.ok()) {
-      ++protocol_errors_;
-      CloseConnection(conn.fd);
-      return false;
-    }
-    if (!*next) return true;
-    switch (ServeBody(conn, body)) {
+    if (next.ok() && !*next) break;
+    switch (next.ok() ? ServeBody(conn, body) : ServeResult::kProtocolError) {
       case ServeResult::kOk:
         break;
       case ServeResult::kProtocolError:
+        // Answers to the frames before the bad one still go out.
         ++protocol_errors_;
-        CloseConnection(conn.fd);
+        if (FlushOutbox(conn)) CloseConnection(conn.fd);
         return false;
       case ServeResult::kConnectionLost:
         // QueueFrame hit a write error and already destroyed the
@@ -206,6 +205,7 @@ bool WebDbTcpServer::DrainReadable(Connection& conn) {
         return false;
     }
   }
+  return FlushOutbox(conn);
 }
 
 WebDbTcpServer::ServeResult WebDbTcpServer::ServeBody(
@@ -225,13 +225,14 @@ WebDbTcpServer::ServeResult WebDbTcpServer::ServeBody(
     return ServeResult::kProtocolError;
   }
 
-  std::string frame = EncodeResponseFrame(request->request_id,
-                                          Dispatch(*request));
+  StatusOr<ResultPage> result = Dispatch(*request);
   ++requests_served_;
   if (options_.latency_us == 0) {
-    return QueueFrame(conn, std::move(frame)) ? ServeResult::kOk
-                                              : ServeResult::kConnectionLost;
+    // DrainReadable flushes once the whole read batch is served.
+    AppendResponseFrame(conn.outbox, request->request_id, result);
+    return ServeResult::kOk;
   }
+  std::string frame = EncodeResponseFrame(request->request_id, result);
   // Delay the RESPONSE, not the backend call: the backend's fault/meter
   // stream still sees arrival order, and equal delays preserve the
   // per-connection response order (timers with equal deadlines fire in

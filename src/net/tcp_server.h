@@ -4,7 +4,8 @@
 // Each accepted connection carries the Hello/ServerInfo handshake and
 // then any number of pipelined fetch requests; responses are written in
 // request order per connection, so a client that sends a whole wave
-// down one connection gets the wave back in the order it asked.
+// down one connection gets the wave back in the order it asked. The
+// responses to one read batch are coalesced into a single write.
 // Because every backend the repo ships is a pure function of the
 // request (WebDbServer reads fixed tables; FaultyServer in keyed mode
 // derives faults from the query identity), the bytes a client receives
@@ -111,10 +112,13 @@ class WebDbTcpServer {
 
   void OnAcceptable();
   void OnConnectionEvent(int fd, uint32_t events);
-  // Reads until EAGAIN, feeding the assembler and serving every
-  // complete request. Returns false when the connection died.
+  // Reads until EAGAIN, feeding the assembler, serving every complete
+  // request into the outbox, then flushing the outbox once. Returns
+  // false when the connection died.
   bool DrainReadable(Connection& conn);
-  // Decodes and serves one request body. kProtocolError leaves the
+  // Decodes and serves one request body: a fetch response is appended
+  // to the outbox (or, with latency_us > 0, scheduled), the handshake
+  // reply is queued and flushed at once. kProtocolError leaves the
   // connection alive for the caller to count and close;
   // kConnectionLost means the connection object was already destroyed
   // mid-write — the caller must not touch `conn` again.

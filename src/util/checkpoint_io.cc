@@ -123,18 +123,32 @@ uint64_t CheckpointChecksum(std::string_view data) {
 }
 
 std::string FrameCheckpoint(std::string_view payload, uint32_t version) {
-  CheckpointWriter w;
   std::string framed;
   framed.reserve(kHeaderSize + payload.size() + kFooterSize);
-  framed.append(kMagic, sizeof(kMagic));
-  w.WriteU32(version);
-  w.WriteU64(payload.size());
-  framed.append(w.buffer());
+  const size_t payload_start = OpenCheckpointFrame(framed, version);
   framed.append(payload.data(), payload.size());
+  CloseCheckpointFrame(framed, payload_start);
+  return framed;
+}
+
+size_t OpenCheckpointFrame(std::string& out, uint32_t version) {
+  CheckpointWriter header;
+  header.WriteU32(version);
+  header.WriteU64(0);  // payload size, filled in by CloseCheckpointFrame
+  out.append(kMagic, sizeof(kMagic));
+  out.append(header.buffer());
+  return out.size();
+}
+
+void CloseCheckpointFrame(std::string& out, size_t payload_start) {
+  const std::string_view payload(out.data() + payload_start,
+                                 out.size() - payload_start);
+  CheckpointWriter size;
+  size.WriteU64(payload.size());
   CheckpointWriter footer;
   footer.WriteU64(CheckpointChecksum(payload));
-  framed.append(footer.buffer());
-  return framed;
+  out.replace(payload_start - 8, 8, size.buffer());
+  out.append(footer.buffer());
 }
 
 StatusOr<std::string_view> UnframeCheckpoint(std::string_view image,

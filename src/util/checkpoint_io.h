@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/util/status.h"
 
@@ -31,6 +32,11 @@ namespace deepcrawl {
 // Append-only little-endian encoder.
 class CheckpointWriter {
  public:
+  CheckpointWriter() = default;
+  // Continues appending after the bytes already in `buffer`; take the
+  // whole buffer back with TakeBuffer().
+  explicit CheckpointWriter(std::string buffer) : buffer_(std::move(buffer)) {}
+
   void WriteU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
   void WriteU32(uint32_t v);
   void WriteU64(uint64_t v);
@@ -89,6 +95,14 @@ uint64_t CheckpointChecksum(std::string_view data);
 // Wraps `payload` in the magic/version/size/checksum framing:
 //   magic "DCPK" | u32 version | u64 payload size | payload | u64 fnv1a
 std::string FrameCheckpoint(std::string_view payload, uint32_t version);
+
+// FrameCheckpoint in place, for a payload encoded straight into `out`:
+// OpenCheckpointFrame appends the header and returns the offset where
+// the payload starts; once the payload is appended,
+// CloseCheckpointFrame fills in its size and appends its checksum.
+// Bytes of `out` before the header are left untouched.
+size_t OpenCheckpointFrame(std::string& out, uint32_t version);
+void CloseCheckpointFrame(std::string& out, size_t payload_start);
 
 // Validates the framing of a full image and returns the payload slice
 // (viewing into `image`), or a clean InvalidArgument for any corruption

@@ -12,7 +12,6 @@
 // tools/check.sh pass 9, on top of the CLI).
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <memory>
 #include <optional>
@@ -33,6 +32,7 @@
 #include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
 #include "src/util/page_cache.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace {
@@ -116,15 +116,6 @@ struct RunOutput {
   uint64_t cache_evictions = 0;
 };
 
-// Fresh per-run store directory under the test temp root.
-std::string FreshStoreDir(const std::string& tag) {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "/paged_diff_" + tag + "_" +
-                    std::to_string(counter++);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
-
 LocalStore::Options PagedOptions(const std::string& dir) {
   LocalStore::Options options;
   options.layout = LocalStore::Layout::kPaged;
@@ -170,9 +161,12 @@ RunOutput RunLayout(const std::string& policy, const std::string& profile_name,
     faulty->set_keyed_faults(true);
     direct = &*faulty;
   }
+  // Declared before the store, so it outlives the store's page files.
+  std::optional<testing_util::ScopedTempDir> store_dir;
   LocalStore::Options store_options;
   if (layout == LocalStore::Layout::kPaged) {
-    store_options = PagedOptions(FreshStoreDir(policy + "_" + profile_name));
+    store_dir.emplace("paged_diff_");
+    store_options = PagedOptions(store_dir->path());
   }
   LocalStore store(store_options);
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store);
@@ -255,7 +249,8 @@ TEST(PagedDifferentialTest, CheckpointReopenResumeBitIdentical) {
       RunOutput uninterrupted =
           RunLayout(policy, profile, LocalStore::Layout::kCsr, 0, 0);
 
-      std::string dir = FreshStoreDir(std::string("resume_") + policy);
+      const testing_util::ScopedTempDir store_dir("paged_diff_resume_");
+      const std::string& dir = store_dir.path();
       std::string ckpt = dir + "/crawl.ckpt";
       FaultProfile fault_profile = ProfileByName(profile);
 

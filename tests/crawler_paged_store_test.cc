@@ -6,7 +6,6 @@
 #include "src/crawler/paged_store.h"
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <cstdint>
 #include <string>
@@ -15,15 +14,10 @@
 #include "src/crawler/local_store.h"
 #include "src/util/checkpoint_io.h"
 #include "src/util/random.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 PagedStore::Options TinyOptions(const std::string& dir) {
   PagedStore::Options options;
@@ -101,7 +95,8 @@ void ExpectStoresEqual(const LocalStore& reference, const PagedStore& paged,
 TEST(PagedStoreTest, MatchesInMemoryStoreUnderThrashingCache) {
   const uint32_t kUniverse = 400;
   LocalStore reference;
-  PagedStore paged(TinyOptions(FreshDir("paged_store_equiv")));
+  const testing_util::ScopedTempDir dir;
+  PagedStore paged(TinyOptions(dir.path()));
   FeedBoth(reference, paged, 1200, kUniverse, 17);
   ASSERT_GT(paged.cache_stats().evictions, 0u)
       << "cache sized above the working set — thrash not exercised";
@@ -113,8 +108,8 @@ TEST(PagedStoreTest, LinkCountModeMatches) {
   LocalStore::Options ref_options;
   ref_options.exact_degrees = false;
   LocalStore reference(ref_options);
-  std::string dir = FreshDir("paged_store_link");
-  PagedStore::Options options = TinyOptions(dir);
+  const testing_util::ScopedTempDir dir;
+  PagedStore::Options options = TinyOptions(dir.path());
   options.exact_degrees = false;
   PagedStore paged(options);
   FeedBoth(reference, paged, 600, kUniverse, 23);
@@ -125,17 +120,17 @@ TEST(PagedStoreTest, LinkCountModeMatches) {
 
 TEST(PagedStoreTest, CheckpointReopenRestoresEverything) {
   const uint32_t kUniverse = 300;
-  std::string dir = FreshDir("paged_store_reopen");
+  const testing_util::ScopedTempDir dir;
   LocalStore reference;
   uint64_t stamp = 0;
   {
-    PagedStore paged(TinyOptions(dir));
+    PagedStore paged(TinyOptions(dir.path()));
     FeedBoth(reference, paged, 800, kUniverse, 31);
     StatusOr<uint64_t> result = paged.Checkpoint();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     stamp = *result;
   }
-  PagedStore::Options options = TinyOptions(dir);
+  PagedStore::Options options = TinyOptions(dir.path());
   options.resume = true;
   PagedStore reopened(options);
   ASSERT_TRUE(reopened.LoadCheckpoint(stamp).ok());
@@ -150,9 +145,9 @@ TEST(PagedStoreTest, PostCheckpointWritesDiscardedOnReload) {
   // must roll the store back to the checkpointed state even though
   // newer epoch files hit the disk in between (crash-window recovery).
   const uint32_t kUniverse = 150;
-  std::string dir = FreshDir("paged_store_rollback");
+  const testing_util::ScopedTempDir dir;
   LocalStore reference;
-  PagedStore paged(TinyOptions(dir));
+  PagedStore paged(TinyOptions(dir.path()));
   FeedBoth(reference, paged, 400, kUniverse, 41);
   StatusOr<uint64_t> stamp = paged.Checkpoint();
   ASSERT_TRUE(stamp.ok());
@@ -170,10 +165,10 @@ TEST(PagedStoreTest, PostCheckpointWritesDiscardedOnReload) {
 }
 
 TEST(PagedStoreTest, CorruptPageSurfacesAsStatusAtLoad) {
-  std::string dir = FreshDir("paged_store_corrupt");
+  const testing_util::ScopedTempDir dir;
   uint64_t stamp = 0;
   {
-    PagedStore paged(TinyOptions(dir));
+    PagedStore paged(TinyOptions(dir.path()));
     LocalStore reference;
     FeedBoth(reference, paged, 300, 100, 47);
     StatusOr<uint64_t> result = paged.Checkpoint();
@@ -184,7 +179,7 @@ TEST(PagedStoreTest, CorruptPageSurfacesAsStatusAtLoad) {
   // segment exists after any nonempty crawl — probe its epoch.
   std::string victim;
   for (uint64_t e = 1; e <= 4096 && victim.empty(); ++e) {
-    std::string candidate = dir + "/freq.p0.e" + std::to_string(e);
+    std::string candidate = dir.path() + "/freq.p0.e" + std::to_string(e);
     if (ReadFileBytes(candidate).ok()) victim = candidate;
   }
   ASSERT_FALSE(victim.empty()) << "no freq page file found to corrupt";
@@ -193,7 +188,7 @@ TEST(PagedStoreTest, CorruptPageSurfacesAsStatusAtLoad) {
   (*bytes)[bytes->size() - 3] ^= 0x10;  // land in the checksum/payload
   ASSERT_TRUE(WriteFileAtomic(victim, *bytes).ok());
 
-  PagedStore::Options options = TinyOptions(dir);
+  PagedStore::Options options = TinyOptions(dir.path());
   options.resume = true;
   PagedStore reopened(options);
   Status loaded = reopened.LoadCheckpoint(stamp);
@@ -201,8 +196,8 @@ TEST(PagedStoreTest, CorruptPageSurfacesAsStatusAtLoad) {
 }
 
 TEST(PagedStoreTest, MissingManifestIsCleanError) {
-  std::string dir = FreshDir("paged_store_nomanifest");
-  PagedStore::Options options = TinyOptions(dir);
+  const testing_util::ScopedTempDir dir;
+  PagedStore::Options options = TinyOptions(dir.path());
   options.resume = true;
   PagedStore paged(options);
   EXPECT_FALSE(paged.LoadCheckpoint(1).ok());

@@ -219,6 +219,50 @@ TEST(NetFrameTest, ErrorResponseRoundTripsEveryCode) {
   }
 }
 
+// AppendResponseFrame frames in place what EncodeResponseFrame builds
+// through intermediate strings: the bytes must agree for every status
+// code (with and without a retry-after hint) and every page shape, and
+// whatever `out` already held must survive untouched.
+TEST(NetFrameTest, AppendResponseFrameMatchesEncodeResponseFrame) {
+  std::vector<ValueId> rec0 = {10, 20, 30};
+  std::vector<ValueId> rec1 = {40};
+  ResultPage full;
+  full.records.push_back({101, rec0});
+  full.records.push_back({102, rec1});
+  full.records.push_back({103, {}});
+  full.page_number = 5;
+  full.total_matches = 77;
+  full.has_more = true;
+  ResultPage empty;
+  empty.total_matches = std::nullopt;
+
+  std::vector<StatusOr<ResultPage>> results;
+  for (StatusCode code : kAllCodes) {
+    if (code == StatusCode::kOk) {
+      results.emplace_back(full);
+      results.emplace_back(empty);
+      continue;
+    }
+    results.emplace_back(Status(code, "injected"));
+    results.emplace_back(Status(code, "injected").WithRetryAfter(9));
+  }
+
+  std::string out = "bytes already queued";
+  std::string want = out;
+  uint64_t request_id = 1ull << 40;
+  for (const StatusOr<ResultPage>& result : results) {
+    SCOPED_TRACE(result.status().ToString());
+    const std::string frame = EncodeResponseFrame(request_id, result);
+    std::string alone;
+    AppendResponseFrame(alone, request_id, result);
+    EXPECT_EQ(alone, frame);
+    AppendResponseFrame(out, request_id, result);
+    want += frame;
+    ASSERT_EQ(out, want);
+    ++request_id;
+  }
+}
+
 TEST(NetFrameTest, GoAwayRoundTrips) {
   Status shed = Status::Unavailable("connection cap").WithRetryAfter(4);
   StatusOr<WireServerMessage> decoded =

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <errno.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -274,6 +276,90 @@ TEST(NetServerTest, ResponseLatencyPreservesOrder) {
   }
 }
 
+// deepcrawl_crawl's --fault-profile=flaky: ~10% transient failures.
+FaultProfile FlakyProfile() {
+  FaultProfile profile;
+  profile.unavailable_rate = 0.05;
+  profile.timeout_rate = 0.03;
+  profile.rate_limit_rate = 0.02;
+  return profile;
+}
+
+// Pipelines one burst of 64 fetches down a single raw connection to a
+// keyed flaky FaultyServer served with `latency_us`, and checks that
+// the bytes coming back are, response by response and in request
+// order, EncodeResponseFrame of the same fetches on an identically
+// seeded in-process proxy.
+void ExpectFlakyBurstMatchesInProcess(uint64_t latency_us) {
+  constexpr int kBurst = 64;
+  constexpr uint64_t kFaultSeed = 5;
+  Table table = MakeFigure1Table();
+  ServerOptions server_options;
+  server_options.page_size = 2;
+  WebDbServer backend(table, server_options);
+  FaultyServer faulty(backend, FlakyProfile(), kFaultSeed);
+  faulty.set_keyed_faults(true);
+  TcpServerOptions tcp_options = OptionsFor(table);
+  tcp_options.latency_us = latency_us;
+  LoopServer loop_server(faulty, tcp_options);
+
+  WebDbServer reference_backend(table, server_options);
+  FaultyServer reference(reference_backend, FlakyProfile(), kFaultSeed);
+  reference.set_keyed_faults(true);
+
+  NetConnection conn;
+  Status opened = conn.Open("127.0.0.1", loop_server.port(), 3000);
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  const uint32_t num_values = table.num_distinct_values();
+  std::vector<std::string> want;
+  int faults = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    WireRequest request;
+    request.type = WireMessageType::kFetchPage;
+    request.request_id = 7000 + i;
+    request.value = static_cast<ValueId>(i % num_values);
+    request.page_number = (i / num_values) % 2;
+    ASSERT_TRUE(conn.Send(EncodeRequestFrame(request)).ok());
+    StatusOr<ResultPage> result =
+        reference.FetchPage(request.value, request.page_number);
+    if (!result.ok()) ++faults;
+    want.push_back(EncodeResponseFrame(request.request_id, result));
+  }
+  // A silent zero would mean the fault proxy never engaged.
+  ASSERT_GT(faults, 0);
+  Status flushed = conn.SendAll(3000);
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+
+  size_t want_bytes = 0;
+  for (const std::string& frame : want) want_bytes += frame.size();
+  std::string got;
+  while (got.size() < want_bytes) {
+    pollfd pfd = {conn.fd(), POLLIN, 0};
+    ASSERT_GT(poll(&pfd, 1, 5000), 0)
+        << "server stalled after " << got.size() << " bytes";
+    char buffer[4096];
+    ssize_t n = read(conn.fd(), buffer, sizeof(buffer));
+    if (n < 0 && (errno == EAGAIN || errno == EINTR)) continue;
+    ASSERT_GT(n, 0) << "connection closed after " << got.size() << " bytes";
+    got.append(buffer, static_cast<size_t>(n));
+  }
+  ASSERT_EQ(got.size(), want_bytes) << "bytes past the last response";
+  size_t offset = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(got.substr(offset, want[i].size()), want[i])
+        << "response " << i << " differs or is out of order";
+    offset += want[i].size();
+  }
+}
+
+TEST(NetServerTest, PipelinedFlakyBurstByteIdenticalToInProcess) {
+  ExpectFlakyBurstMatchesInProcess(/*latency_us=*/0);
+}
+
+TEST(NetServerTest, PipelinedFlakyBurstWithLatencyKeepsOrder) {
+  ExpectFlakyBurstMatchesInProcess(/*latency_us=*/500);
+}
+
 TEST(NetServerTest, ConnectionCapShedsWithRetryableGoAway) {
   Table table = MakeFigure1Table();
   WebDbServer backend(table, ServerOptions{});
@@ -337,6 +423,35 @@ TEST(NetServerTest, MalformedFrameClosesConnection) {
   ssize_t n = read(fd, buffer, sizeof(buffer));
   EXPECT_EQ(n, 0) << "server kept the connection alive past corruption";
   close(fd);
+
+  loop_server.Stop();
+  EXPECT_EQ(loop_server.server().protocol_errors(), 1u);
+}
+
+// Responses to the frames of a read batch are written together at the
+// end of the batch; a corrupt frame later in the same batch must not
+// swallow the answers owed to the good frames before it.
+TEST(NetServerTest, CorruptFrameAfterRequestStillAnswersIt) {
+  Table table = MakeFigure1Table();
+  WebDbServer backend(table, ServerOptions{});
+  LoopServer loop_server(backend, OptionsFor(table));
+
+  NetConnection conn;
+  ASSERT_TRUE(conn.Open("127.0.0.1", loop_server.port(), 3000).ok());
+  WireRequest request;
+  request.request_id = 31;
+  request.value = 0;
+  const char garbage[] = {4, 0, 0, 0, 'J', 'U', 'N', 'K'};
+  ASSERT_TRUE(conn.Send(EncodeRequestFrame(request) +
+                        std::string(garbage, sizeof(garbage)))
+                  .ok());
+  ASSERT_TRUE(conn.SendAll(3000).ok());
+  StatusOr<WireServerMessage> reply = conn.ReceiveMessage(3000);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->request_id, 31u);
+  StatusOr<WireServerMessage> after = conn.ReceiveMessage(3000);
+  EXPECT_EQ(after.status().code(), StatusCode::kUnavailable)
+      << "server kept the connection alive past corruption";
 
   loop_server.Stop();
   EXPECT_EQ(loop_server.server().protocol_errors(), 1u);

@@ -89,7 +89,8 @@ TEST(TsvTest, RoundTripPreservesContent) {
 
 TEST(TsvTest, FileRoundTrip) {
   Table original = testing_util::MakeFigure1Table();
-  std::string path = ::testing::TempDir() + "/deepcrawl_tsv_test.tsv";
+  const testing_util::ScopedTempDir dir;
+  std::string path = dir.path() + "/table.tsv";
   ASSERT_TRUE(WriteTableTsvFile(original, path).ok());
   StatusOr<Table> reread = ReadTableTsvFile(path);
   ASSERT_TRUE(reread.ok());

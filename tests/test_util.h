@@ -3,8 +3,14 @@
 #ifndef DEEPCRAWL_TESTS_TEST_UTIL_H_
 #define DEEPCRAWL_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+#include <string.h>
+
+#include <cerrno>
+#include <filesystem>
 #include <initializer_list>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -13,6 +19,33 @@
 
 namespace deepcrawl {
 namespace testing_util {
+
+// A directory of its own under std::filesystem::temp_directory_path(),
+// made by mkdtemp and removed with everything in it on destruction. mkdtemp names are unique across processes, so suites
+// that `ctest -j` runs side by side never share state, and reruns
+// never inherit a previous run's leftovers.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& prefix = "deepcrawl_test_") {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / (prefix + "XXXXXX"))
+            .string();
+    DEEPCRAWL_CHECK(mkdtemp(pattern.data()) != nullptr)
+        << "mkdtemp " << pattern << ": " << strerror(errno);
+    path_ = std::move(pattern);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 // One test record: list of (attribute name, value text) pairs.
 using Row = std::vector<std::pair<std::string, std::string>>;

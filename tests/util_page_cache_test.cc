@@ -6,7 +6,6 @@
 #include "src/util/page_cache.h"
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <cstdint>
 #include <cstring>
@@ -14,19 +13,14 @@
 #include <vector>
 
 #include "src/util/checkpoint_io.h"
+#include "tests/test_util.h"
 
 namespace deepcrawl {
 namespace {
 
-std::string MakeTestDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
-
 TEST(PagedFileTest, VirginPagesReadAsZeroes) {
-  std::string dir = MakeTestDir("paged_file_virgin");
-  PagedFile file(dir, "seg", 128);
+  const testing_util::ScopedTempDir dir;
+  PagedFile file(dir.path(), "seg", 128);
   file.EnsurePages(3);
   std::vector<char> page(128, 'x');
   ASSERT_TRUE(file.ReadPage(2, page.data()).ok());
@@ -34,8 +28,8 @@ TEST(PagedFileTest, VirginPagesReadAsZeroes) {
 }
 
 TEST(PagedFileTest, WriteReadRoundtripAndEpochAdvance) {
-  std::string dir = MakeTestDir("paged_file_roundtrip");
-  PagedFile file(dir, "seg", 128);
+  const testing_util::ScopedTempDir dir;
+  PagedFile file(dir.path(), "seg", 128);
   file.EnsurePages(2);
   std::vector<char> out(128, 0);
   for (int round = 0; round < 3; ++round) {
@@ -47,8 +41,8 @@ TEST(PagedFileTest, WriteReadRoundtripAndEpochAdvance) {
 }
 
 TEST(PagedFileTest, CorruptPageFileIsCleanError) {
-  std::string dir = MakeTestDir("paged_file_corrupt");
-  PagedFile file(dir, "seg", 128);
+  const testing_util::ScopedTempDir dir;
+  PagedFile file(dir.path(), "seg", 128);
   file.EnsurePages(1);
   std::vector<char> page(128, 'z');
   ASSERT_TRUE(file.WritePage(0, page.data()).ok());
@@ -56,7 +50,7 @@ TEST(PagedFileTest, CorruptPageFileIsCleanError) {
   std::vector<std::string> names;
   file.AppendCurrentFileNames(names);
   ASSERT_EQ(names.size(), 1u);
-  std::string path = dir + "/" + names[0];
+  std::string path = dir.path() + "/" + names[0];
   StatusOr<std::string> bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   (*bytes)[bytes->size() / 2] ^= 0x40;
@@ -66,18 +60,18 @@ TEST(PagedFileTest, CorruptPageFileIsCleanError) {
 }
 
 TEST(PagedFileTest, MetaRoundtripRestoresEpochTable) {
-  std::string dir = MakeTestDir("paged_file_meta");
+  const testing_util::ScopedTempDir dir;
   std::vector<char> page(64, 'q');
   CheckpointWriter writer;
   {
-    PagedFile file(dir, "seg", 64);
+    PagedFile file(dir.path(), "seg", 64);
     file.EnsurePages(4);
     ASSERT_TRUE(file.WritePage(0, page.data()).ok());
     ASSERT_TRUE(file.WritePage(2, page.data()).ok());
     ASSERT_TRUE(file.SyncPending().ok());
     file.AppendMeta(writer);
   }
-  PagedFile reopened(dir, "seg", 64);
+  PagedFile reopened(dir.path(), "seg", 64);
   CheckpointReader reader(writer.buffer());
   ASSERT_TRUE(reopened.LoadMeta(reader).ok());
   EXPECT_EQ(reopened.num_pages(), 4u);
@@ -91,11 +85,11 @@ TEST(PagedFileTest, MetaRoundtripRestoresEpochTable) {
 }
 
 TEST(PagedFileTest, SweepOrphansDropsUnreferencedEpochs) {
-  std::string dir = MakeTestDir("paged_file_sweep");
+  const testing_util::ScopedTempDir dir;
   std::vector<char> page(64, 'a');
   CheckpointWriter writer;
   {
-    PagedFile file(dir, "seg", 64);
+    PagedFile file(dir.path(), "seg", 64);
     file.EnsurePages(1);
     ASSERT_TRUE(file.WritePage(0, page.data()).ok());
     ASSERT_TRUE(file.SyncPending().ok());
@@ -107,7 +101,7 @@ TEST(PagedFileTest, SweepOrphansDropsUnreferencedEpochs) {
     page.assign(64, 'c');
     ASSERT_TRUE(file.WritePage(0, page.data()).ok());
   }
-  PagedFile recovered(dir, "seg", 64);
+  PagedFile recovered(dir.path(), "seg", 64);
   CheckpointReader reader(writer.buffer());
   ASSERT_TRUE(recovered.LoadMeta(reader).ok());
   ASSERT_TRUE(recovered.SweepOrphans().ok());
@@ -121,8 +115,8 @@ TEST(PagedFileTest, SweepOrphansDropsUnreferencedEpochs) {
 }
 
 TEST(PageCacheTest, EvictionWritesBackDirtyFrames) {
-  std::string dir = MakeTestDir("page_cache_evict");
-  PagedFile file(dir, "seg", 64);
+  const testing_util::ScopedTempDir dir;
+  PagedFile file(dir.path(), "seg", 64);
   PageCache cache(64, 2);  // two frames over many pages
   uint32_t id = cache.RegisterFile(&file);
   const int kPages = 16;
@@ -142,8 +136,8 @@ TEST(PageCacheTest, EvictionWritesBackDirtyFrames) {
 }
 
 TEST(PageCacheTest, PinnedFramesSurviveEvictionPressure) {
-  std::string dir = MakeTestDir("page_cache_pin");
-  PagedFile file(dir, "seg", 64);
+  const testing_util::ScopedTempDir dir;
+  PagedFile file(dir.path(), "seg", 64);
   PageCache cache(64, 2);
   uint32_t id = cache.RegisterFile(&file);
   PageCache::Handle pinned = cache.Acquire(id, 0);
@@ -161,8 +155,8 @@ TEST(PageCacheTest, PinnedFramesSurviveEvictionPressure) {
 }
 
 TEST(PageCacheTest, FlushAllPersistsWithoutInvalidation) {
-  std::string dir = MakeTestDir("page_cache_flush");
-  PagedFile file(dir, "seg", 64);
+  const testing_util::ScopedTempDir dir;
+  PagedFile file(dir.path(), "seg", 64);
   PageCache cache(64, 8);
   uint32_t id = cache.RegisterFile(&file);
   {
@@ -182,8 +176,8 @@ TEST(PageCacheTest, FlushAllPersistsWithoutInvalidation) {
 }
 
 TEST(PagedArrayTest, ElementRoundtripAcrossPages) {
-  std::string dir = MakeTestDir("paged_array");
-  PagedFile file(dir, "seg", 64);  // 16 u32 per page
+  const testing_util::ScopedTempDir dir;
+  PagedFile file(dir.path(), "seg", 64);  // 16 u32 per page
   PageCache cache(64, 2);
   uint32_t id = cache.RegisterFile(&file);
   PagedArray<uint32_t> array(&cache, &file, id);
