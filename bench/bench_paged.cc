@@ -1,4 +1,4 @@
-// Out-of-core paged store bench: what the epoch-file page cache costs
+// Out-of-core paged store bench: what the slot-file page cache costs
 // relative to the in-memory CSR layout, and what it buys — a crawl
 // whose resident set is a small fraction of its working set.
 //
@@ -33,9 +33,9 @@ namespace bench {
 namespace {
 
 // Fresh scratch directory per store instance; reusing a directory
-// across reps would let epoch leftovers from the previous rep distort
+// across reps would let the previous rep's segment files distort
 // file-creation costs. All of them live under one mkdtemp root that is
-// removed, page files and all, when the bench exits.
+// removed, segment files and all, when the bench exits.
 std::string FreshDir() {
   static const testing_util::ScopedTempDir root("deepcrawl_bench_paged_");
   static int counter = 0;

@@ -39,7 +39,7 @@ std::string ManifestName(uint64_t stamp) {
 
 // Linear-probing hash segment with generation-file growth. A rehash
 // opens `<base>.g<gen+1>`, reinserts every live slot, and hands the
-// old generation's on-disk files back for deferred deletion.
+// old generation's slot file back for deferred deletion.
 struct PagedStore::PagedHash {
   PageCache* cache = nullptr;
   std::string dir;
@@ -127,11 +127,10 @@ struct PagedStore::PagedHash {
       while (arr.Get(i).key != 0) i = (i + 1) & mask;
       arr.Set(i, s);
     }
-    // Drop (not flush) the old generation's frames first, so no
-    // writeback can create a fresh epoch file after we snapshot the
-    // retired-path list.
+    // Drop (not flush) the old generation's frames: its file is
+    // retired whole, and older manifests still name its slots.
     cache->UnregisterFile(old_id);
-    old_file->AppendOnDiskPaths(*retired);
+    retired->push_back(old_file->path());
     old_file.reset();
   }
 
@@ -231,12 +230,13 @@ PagedStore::PagedStore(const Options& options) : options_(options) {
       << options_.page_bytes;
   DEEPCRAWL_CHECK(options_.cache_pages >= 1) << "--cache-pages must be >= 1";
   ::mkdir(options_.dir.c_str(), 0755);  // EEXIST is fine
-  ResetImpl();
+  // Sweep before ResetImpl opens (and creates) the segment files.
   if (!options_.resume) {
     Status status = SweepDirectory({});
     DEEPCRAWL_CHECK(status.ok())
         << "cannot initialize paged store: " << status.message();
   }
+  ResetImpl();
 }
 
 PagedStore::~PagedStore() = default;
@@ -258,13 +258,11 @@ Status PagedStore::SweepDirectory(
   std::vector<std::string> doomed;
   while (struct dirent* entry = ::readdir(dir)) {
     std::string name = entry->d_name;
-    if (keep.count(name) != 0) continue;
-    if (HasStorePrefix(name)) doomed.push_back(name);
+    std::string path = options_.dir + "/" + name;
+    if (keep.count(path) == 0 && HasStorePrefix(name)) doomed.push_back(path);
   }
   ::closedir(dir);
-  for (const std::string& name : doomed) {
-    std::remove((options_.dir + "/" + name).c_str());
-  }
+  for (const std::string& path : doomed) std::remove(path.c_str());
   return Status::OK();
 }
 
@@ -543,12 +541,12 @@ Status PagedStore::LoadCheckpoint(uint64_t stamp) {
   last_stamp_ = stamp;
   retired_.clear();
   // Sweep crash leftovers: every store file this manifest does not
-  // reference (newer epochs, newer manifests, stale temp files, old
-  // hash generations) is garbage.
+  // reference (newer manifests, stale temp files, hash generations
+  // other than the loaded one) is garbage.
   std::vector<std::string> expected;
-  expected.push_back(ManifestName(stamp));
+  expected.push_back(options_.dir + "/" + ManifestName(stamp));
   files = impl_->AllFiles();
-  for (PagedFile* file : files) file->AppendCurrentFileNames(expected);
+  for (PagedFile* file : files) expected.push_back(file->path());
   status = SweepDirectory(expected);
   if (!status.ok()) return status;
   // Recovery scrub: read back every page now so a corrupt frame is a

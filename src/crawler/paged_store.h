@@ -4,8 +4,8 @@
 // PageCache so a crawl's working state can exceed memory by orders of
 // magnitude (ROADMAP item 1; DESIGN.md §14).
 //
-// Segment map (all fixed-stride arrays over epoch-file shadow pages,
-// see src/util/page_cache.h for the on-disk format):
+// Segment map (all fixed-stride arrays, one slot file `<name>.seg`
+// each; see src/util/page_cache.h for the on-disk format):
 //
 //   recvals   record-values CSR data      (ValueId)
 //   recoff    record-values CSR offsets   (u64, recoff[slot+1] = end)
@@ -28,14 +28,14 @@
 // append order in both layouts, so crawls are bit-identical.
 //
 // The hash segments grow by generations: a rehash writes a fresh
-// `<name>.g<gen+1>` file set and retires the old generation, whose
-// files are kept until two more checkpoints commit (older manifests
-// may still reference them) and then deleted.
+// `<name>.g<gen+1>.seg` file and retires the old generation's file,
+// which is kept until two more checkpoints commit (older manifests
+// may still reference it) and then deleted.
 //
 // Checkpoint contract: Checkpoint() flushes dirty frames, fsyncs
-// everything written since the last checkpoint, durably writes
-// MANIFEST.<stamp> (scalars + per-segment page epoch tables), then
-// retires epochs that fell out of the two-manifest durable window.
+// each segment written since the last checkpoint, durably writes
+// MANIFEST.<stamp> (scalars + per-segment page→slot tables), then
+// frees the slots that fell out of the two-manifest durable window.
 // LoadCheckpoint(stamp) reloads a manifest, sweeps every store file
 // the manifest does not reference (crash leftovers), and eagerly
 // re-reads every referenced page so corruption surfaces as a clean
@@ -58,7 +58,7 @@ namespace deepcrawl {
 
 // Manifest format version (independent of the crawl checkpoint
 // version; the manifest is the store's own recovery root).
-inline constexpr uint32_t kPagedManifestVersion = 1;
+inline constexpr uint32_t kPagedManifestVersion = 2;
 
 class PagedStore {
  public:
@@ -136,7 +136,7 @@ class PagedStore {
   // Builds an empty Impl (cache + registered segment files).
   void ResetImpl();
   // Store-wide sweep: deletes every file in the directory that starts
-  // with a store prefix but is not in `expected` (filenames).
+  // with a store prefix but is not in `expected` (paths).
   Status SweepDirectory(const std::vector<std::string>& expected) const;
   // Arena append with doubling relocation (no compaction).
   void ArenaAppend(PagedArray<uint32_t>& data, PagedArray<RowMeta>& dir,

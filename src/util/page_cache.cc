@@ -1,192 +1,185 @@
 #include "src/util/page_cache.h"
 
-#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
-#include <cstdio>
+#include <cerrno>
 
 #include "src/util/checkpoint_io.h"
 
 namespace deepcrawl {
 
-PagedFile::PagedFile(std::string dir, std::string name, uint32_t page_bytes)
-    : dir_(std::move(dir)), name_(std::move(name)), page_bytes_(page_bytes) {
+namespace {
+
+// Bytes the framing adds around a page: magic, version, payload size
+// ahead of it and the checksum behind it.
+constexpr uint64_t kFrameOverhead = 4 + 4 + 8 + 8;
+
+}  // namespace
+
+PagedFile::PagedFile(const std::string& dir, const std::string& name,
+                     uint32_t page_bytes)
+    : path_(dir + "/" + name + ".seg"),
+      page_bytes_(page_bytes),
+      frame_bytes_(page_bytes + kFrameOverhead) {
   DEEPCRAWL_CHECK(page_bytes_ > 0) << "page size must be positive";
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  created_ = fd_ >= 0;
+  if (!created_ && errno == EEXIST) {
+    fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
+  }
+  DEEPCRAWL_CHECK(fd_ >= 0) << "cannot open segment file '" << path_
+                            << "': " << std::strerror(errno);
 }
+
+PagedFile::~PagedFile() { ::close(fd_); }
 
 void PagedFile::EnsurePages(uint64_t n) {
   if (n > pages_.size()) pages_.resize(n);
 }
 
-std::string PagedFile::PageFileName(uint64_t page, uint64_t epoch) const {
-  return name_ + ".p" + std::to_string(page) + ".e" + std::to_string(epoch);
-}
-
-std::string PagedFile::PagePath(uint64_t page, uint64_t epoch) const {
-  return dir_ + "/" + PageFileName(page, epoch);
-}
-
-bool PagedFile::ParsePageFileName(const std::string& filename, uint64_t* page,
-                                  uint64_t* epoch) const {
-  // <name>.p<digits>.e<digits>
-  if (filename.size() <= name_.size() + 4) return false;
-  if (filename.compare(0, name_.size(), name_) != 0) return false;
-  size_t p = name_.size();
-  if (filename[p] != '.' || filename[p + 1] != 'p') return false;
-  size_t e_dot = filename.find(".e", p + 2);
-  if (e_dot == std::string::npos || e_dot == p + 2) return false;
-  auto parse_digits = [&](size_t begin, size_t end, uint64_t* out) {
-    if (begin == end) return false;
-    uint64_t v = 0;
-    for (size_t i = begin; i < end; ++i) {
-      if (filename[i] < '0' || filename[i] > '9') return false;
-      v = v * 10 + static_cast<uint64_t>(filename[i] - '0');
-    }
-    *out = v;
-    return true;
-  };
-  return parse_digits(p + 2, e_dot, page) &&
-         parse_digits(e_dot + 2, filename.size(), epoch);
-}
-
 Status PagedFile::ReadPage(uint64_t page, char* out) const {
-  if (page >= pages_.size() || pages_[page].current == 0) {
+  if (page >= pages_.size() || pages_[page].current == kNoSlot) {
     std::memset(out, 0, page_bytes_);
     return Status::OK();
   }
-  std::string path = PagePath(page, pages_[page].current);
-  StatusOr<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  StatusOr<std::string_view> payload =
-      UnframeCheckpoint(*bytes, kPageFormatVersion);
-  if (!payload.ok()) {
-    return Status::InvalidArgument("corrupt page '" + path +
-                                   "': " + payload.status().message());
+  const uint64_t slot = pages_[page].current;
+  frame_.resize(frame_bytes_);
+  const ssize_t n = ::pread(fd_, frame_.data(), frame_bytes_,
+                            static_cast<off_t>(slot * frame_bytes_));
+  if (n < 0) {
+    return Status::Internal("read failed for slot " + std::to_string(slot) +
+                            " of '" + path_ + "': " + std::strerror(errno));
   }
-  if (payload->size() != page_bytes_) {
+  // A whole frame carries exactly page_bytes of payload; a short read
+  // fails the framing's size check.
+  StatusOr<std::string_view> payload = UnframeCheckpoint(
+      std::string_view(frame_.data(), n), kPageFormatVersion);
+  if (!payload.ok()) {
     return Status::InvalidArgument(
-        "corrupt page '" + path + "': payload is " +
-        std::to_string(payload->size()) + " bytes, expected " +
-        std::to_string(page_bytes_));
+        "corrupt page in slot " + std::to_string(slot) + " of '" + path_ +
+        "': " + payload.status().message());
   }
   std::memcpy(out, payload->data(), page_bytes_);
   return Status::OK();
 }
 
-void PagedFile::RemoveIfUnprotected(uint64_t page, uint64_t epoch) {
-  const PageState& st = pages_[page];
-  if (epoch == 0 || epoch == st.current || epoch == st.durable_last ||
-      epoch == st.durable_prev) {
+void PagedFile::ReleaseSlot(const PageState& st, uint64_t slot) {
+  if (slot == kNoSlot || slot == st.current || slot == st.durable_last ||
+      slot == st.durable_prev) {
     return;
   }
-  std::string path = PagePath(page, epoch);
-  std::remove(path.c_str());
-  pending_sync_.erase(path);
+  free_slots_.push_back(slot);
 }
 
 Status PagedFile::WritePage(uint64_t page, const char* data) {
   EnsurePages(page + 1);
-  uint64_t epoch = next_epoch_++;
-  std::string path = PagePath(page, epoch);
-  std::string framed =
-      FrameCheckpoint(std::string_view(data, page_bytes_), kPageFormatVersion);
-  Status status = WriteFileAtomicDeferredSync(path, framed);
-  if (!status.ok()) return status;
-  pending_sync_.insert(path);
-  uint64_t old = pages_[page].current;
-  pages_[page].current = epoch;
-  RemoveIfUnprotected(page, old);
+  uint64_t slot = num_slots_;
+  if (free_slots_.empty()) {
+    ++num_slots_;
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  frame_.clear();
+  const size_t payload_start = OpenCheckpointFrame(frame_, kPageFormatVersion);
+  frame_.append(data, page_bytes_);
+  CloseCheckpointFrame(frame_, payload_start);
+  const ssize_t n = ::pwrite(fd_, frame_.data(), frame_bytes_,
+                             static_cast<off_t>(slot * frame_bytes_));
+  if (n != static_cast<ssize_t>(frame_bytes_)) {
+    const std::string why = n < 0 ? std::strerror(errno) : "short write";
+    free_slots_.push_back(slot);
+    return Status::Internal("write failed for slot " + std::to_string(slot) +
+                            " of '" + path_ + "': " + why);
+  }
+  written_ = true;
+  PageState& st = pages_[page];
+  const uint64_t old = st.current;
+  st.current = slot;
+  ReleaseSlot(st, old);
   return Status::OK();
 }
 
 Status PagedFile::SyncPending() {
-  for (const std::string& path : pending_sync_) {
-    // SyncFileDurable fsyncs the parent directory per file; with one
-    // store directory that is a handful of redundant dir fsyncs per
-    // checkpoint, which keeps this path simple.
-    Status status = SyncFileDurable(path);
+  if (!written_) return Status::OK();
+  if (created_) {
+    // A new file's directory entry must be durable too.
+    Status status = SyncFileDurable(path_);
     if (!status.ok()) return status;
+  } else if (::fsync(fd_) != 0) {
+    return Status::Internal("fsync failed for '" + path_ +
+                            "': " + std::strerror(errno));
   }
-  pending_sync_.clear();
+  created_ = false;
+  written_ = false;
   return Status::OK();
 }
 
 void PagedFile::CommitDurable() {
-  for (uint64_t page = 0; page < pages_.size(); ++page) {
-    PageState& st = pages_[page];
-    uint64_t out = st.durable_prev;
+  for (PageState& st : pages_) {
+    const uint64_t out = st.durable_prev;
     st.durable_prev = st.durable_last;
     st.durable_last = st.current;
-    RemoveIfUnprotected(page, out);
+    ReleaseSlot(st, out);
   }
 }
 
 void PagedFile::AppendMeta(CheckpointWriter& w) const {
-  w.WriteU64(next_epoch_);
+  w.WriteU64(num_slots_);
   w.WriteU64(pages_.size());
   for (const PageState& st : pages_) w.WriteU64(st.current);
 }
 
 Status PagedFile::LoadMeta(CheckpointReader& r) {
-  uint64_t next_epoch = r.ReadU64();
-  uint64_t num_pages = r.ReadCount(8);
+  const uint64_t num_slots = r.ReadU64();
+  if (!r.ok()) return r.status();
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
+    return Status::Internal("cannot stat '" + path_ +
+                            "': " + std::strerror(errno));
+  }
+  // Validated before anything sized by it is allocated.
+  if (num_slots > static_cast<uint64_t>(st.st_size) / frame_bytes_) {
+    r.MarkCorrupt("segment '" + path_ + "' names " +
+                  std::to_string(num_slots) + " slots but holds " +
+                  std::to_string(st.st_size / frame_bytes_));
+    return r.status();
+  }
+  const uint64_t num_pages = r.ReadCount(8);
   std::vector<PageState> pages(num_pages);
-  for (uint64_t i = 0; i < num_pages; ++i) {
-    uint64_t epoch = r.ReadU64();
-    if (epoch >= next_epoch) {
-      r.MarkCorrupt("page epoch beyond segment epoch counter in '" + name_ +
-                    "'");
+  std::vector<bool> used(num_slots, false);
+  for (PageState& page : pages) {
+    const uint64_t slot = r.ReadU64();
+    if (slot == kNoSlot) continue;
+    if (slot >= num_slots) {
+      r.MarkCorrupt("page slot " + std::to_string(slot) +
+                    " past the slot count of '" + path_ + "'");
+      break;
     }
-    pages[i].current = epoch;
-    pages[i].durable_last = epoch;
-    pages[i].durable_prev = epoch;
+    if (used[slot]) {
+      r.MarkCorrupt("two pages share slot " + std::to_string(slot) +
+                    " of '" + path_ + "'");
+      break;
+    }
+    used[slot] = true;
+    page = PageState{slot, slot, slot};
   }
   if (!r.ok()) return r.status();
-  next_epoch_ = next_epoch;
+  // Slots past the loaded count hold only writes made after this
+  // manifest; drop them so the file is live pages plus free slots.
+  if (::ftruncate(fd_, static_cast<off_t>(num_slots * frame_bytes_)) != 0) {
+    return Status::Internal("cannot truncate '" + path_ +
+                            "': " + std::strerror(errno));
+  }
+  free_slots_.clear();
+  for (uint64_t slot = num_slots; slot-- > 0;) {
+    if (!used[slot]) free_slots_.push_back(slot);
+  }
+  num_slots_ = num_slots;
   pages_ = std::move(pages);
-  pending_sync_.clear();
-  return Status::OK();
-}
-
-void PagedFile::AppendOnDiskPaths(std::vector<std::string>& out) const {
-  for (uint64_t page = 0; page < pages_.size(); ++page) {
-    const PageState& st = pages_[page];
-    uint64_t epochs[3] = {st.current, st.durable_last, st.durable_prev};
-    for (int k = 0; k < 3; ++k) {
-      if (epochs[k] == 0) continue;
-      bool dup = false;
-      for (int j = 0; j < k; ++j) dup = dup || epochs[j] == epochs[k];
-      if (!dup) out.push_back(PagePath(page, epochs[k]));
-    }
-  }
-}
-
-void PagedFile::AppendCurrentFileNames(std::vector<std::string>& out) const {
-  for (uint64_t page = 0; page < pages_.size(); ++page) {
-    if (pages_[page].current != 0) {
-      out.push_back(PageFileName(page, pages_[page].current));
-    }
-  }
-}
-
-Status PagedFile::SweepOrphans() const {
-  DIR* dir = ::opendir(dir_.c_str());
-  if (dir == nullptr) {
-    return Status::NotFound("cannot open store directory '" + dir_ + "'");
-  }
-  std::vector<std::string> doomed;
-  while (struct dirent* entry = ::readdir(dir)) {
-    std::string filename = entry->d_name;
-    uint64_t page = 0;
-    uint64_t epoch = 0;
-    if (!ParsePageFileName(filename, &page, &epoch)) continue;
-    bool referenced =
-        page < pages_.size() && epoch != 0 && pages_[page].current == epoch;
-    if (!referenced) doomed.push_back(filename);
-  }
-  ::closedir(dir);
-  for (const std::string& filename : doomed) {
-    std::remove((dir_ + "/" + filename).c_str());
-  }
+  written_ = false;
   return Status::OK();
 }
 
@@ -200,7 +193,7 @@ uint32_t PageCache::RegisterFile(PagedFile* file) {
   DEEPCRAWL_CHECK(file->page_bytes() == page_bytes_)
       << "segment page size " << file->page_bytes()
       << " does not match cache page size " << page_bytes_;
-  files_.push_back(file);
+  files_.push_back(Registered{file, {}});
   return static_cast<uint32_t>(files_.size() - 1);
 }
 
@@ -223,14 +216,14 @@ uint32_t PageCache::ReclaimFrame() {
       continue;
     }
     if (frame.valid) {
+      Registered& owner = files_[frame.file_id];
       if (frame.dirty) {
-        Status status =
-            files_[frame.file_id]->WritePage(frame.page, frame.data.data());
+        Status status = owner.file->WritePage(frame.page, frame.data.data());
         DEEPCRAWL_CHECK(status.ok())
             << "page writeback failed: " << status.message();
         ++stats_.writebacks;
       }
-      frame_of_.erase(FrameKey(frame.file_id, frame.page));
+      owner.frame_of[frame.page] = kNoFrame;
       frame.valid = false;
       frame.dirty = false;
       ++stats_.evictions;
@@ -245,22 +238,13 @@ uint32_t PageCache::ReclaimFrame() {
   return static_cast<uint32_t>(frames_.size() - 1);
 }
 
-PageCache::Handle PageCache::Acquire(uint32_t file_id, uint64_t page) {
-  DEEPCRAWL_DCHECK(file_id < files_.size() && files_[file_id] != nullptr)
-      << "unregistered file id";
-  auto it = frame_of_.find(FrameKey(file_id, page));
-  if (it != frame_of_.end()) {
-    Frame& frame = frames_[it->second];
-    frame.referenced = true;
-    ++frame.pins;
-    ++stats_.hits;
-    return Handle(this, it->second);
-  }
+PageCache::Handle PageCache::AcquireMiss(uint32_t file_id, uint64_t page) {
   ++stats_.misses;
-  uint32_t i = ReclaimFrame();
+  const uint32_t i = ReclaimFrame();
   Frame& frame = frames_[i];
-  files_[file_id]->EnsurePages(page + 1);
-  Status status = files_[file_id]->ReadPage(page, frame.data.data());
+  Registered& owner = files_[file_id];
+  owner.file->EnsurePages(page + 1);
+  Status status = owner.file->ReadPage(page, frame.data.data());
   DEEPCRAWL_CHECK(status.ok()) << "page read failed: " << status.message();
   frame.file_id = file_id;
   frame.page = page;
@@ -268,7 +252,8 @@ PageCache::Handle PageCache::Acquire(uint32_t file_id, uint64_t page) {
   frame.dirty = false;
   frame.referenced = true;
   frame.valid = true;
-  frame_of_[FrameKey(file_id, page)] = i;
+  if (page >= owner.frame_of.size()) owner.frame_of.resize(page + 1, kNoFrame);
+  owner.frame_of[page] = i;
   return Handle(this, i);
 }
 
@@ -276,7 +261,7 @@ Status PageCache::FlushAll() {
   for (Frame& frame : frames_) {
     if (!frame.valid || !frame.dirty) continue;
     Status status =
-        files_[frame.file_id]->WritePage(frame.page, frame.data.data());
+        files_[frame.file_id].file->WritePage(frame.page, frame.data.data());
     if (!status.ok()) return status;
     frame.dirty = false;
   }
@@ -287,7 +272,7 @@ void PageCache::DropFile(uint32_t file_id) {
   for (Frame& frame : frames_) {
     if (!frame.valid || frame.file_id != file_id) continue;
     DEEPCRAWL_CHECK(frame.pins == 0) << "dropping a pinned page frame";
-    frame_of_.erase(FrameKey(frame.file_id, frame.page));
+    files_[file_id].frame_of[frame.page] = kNoFrame;
     frame.valid = false;
     frame.dirty = false;
     frame.referenced = false;
@@ -296,7 +281,7 @@ void PageCache::DropFile(uint32_t file_id) {
 
 void PageCache::UnregisterFile(uint32_t file_id) {
   DropFile(file_id);
-  files_[file_id] = nullptr;
+  files_[file_id] = Registered{};
 }
 
 }  // namespace deepcrawl

@@ -1,49 +1,47 @@
-// Paged on-disk storage: epoch-file shadow paging + a pinned/dirty
+// Paged on-disk storage: slot-file shadow paging + a pinned/dirty
 // clock page cache — the substrate under LocalStore's Layout::kPaged
 // backend (see DESIGN.md §14).
 //
 // A PagedFile is one logical segment (an array of fixed-size pages)
-// stored as one small file per page per version:
+// stored in one file of fixed-size slots, kept open:
 //
-//   <dir>/<name>.p<page>.e<epoch>
+//   <dir>/<name>.seg    slot s at byte offset s * frame_bytes()
 //
-// Every page write allocates a fresh epoch and lands through the
-// checkpoint_io atomic temp+rename protocol, wrapped in the standard
-// framing (magic, version, payload size, FNV-1a checksum) — a torn or
-// bit-flipped page is detected on read, and a crash mid-write can
-// never damage the previous epoch of the page. Epoch 0 is the virgin
-// page: all zeroes, no file on disk, so untouched regions of a
-// segment cost nothing and read back as zero-initialized state.
+// Each slot holds one page in the standard framing (magic, version,
+// payload size, FNV-1a checksum), so a torn or bit-flipped page is
+// detected on read. A page with no slot is virgin and reads as zeroes.
+// A write pwrites into a free slot, never over the slot of the page's
+// current version nor the slots named by the *last two* manifests
+// (durable_last / durable_prev): the crawl checkpoint that names
+// manifest N is written after manifest N, so a crash in that window
+// must still be able to load manifest N-1. Slots leaving that window
+// are reused, so the file holds the live pages plus the window.
 //
-// Durability is deferred to checkpoint boundaries: evictions between
-// checkpoints rename without fsync (crash loses them — by design; the
+// Durability is deferred to checkpoint boundaries: writes between
+// checkpoints are not fsynced (a crash loses them — by design; the
 // recovery point is the last manifest). At checkpoint time the store
-// flushes dirty frames, fsyncs every file written since the previous
-// checkpoint (SyncPending), records the per-page epoch table in a
-// manifest, and only then retires old epochs. Each page keeps the
-// epochs referenced by the *last two* manifests on disk
-// (durable_last / durable_prev), because the crawl checkpoint that
-// names manifest N is written after manifest N itself — a crash in
-// that window must still be able to load manifest N-1.
+// flushes dirty frames, fsyncs each segment written since the last
+// checkpoint (SyncPending), records every page→slot table in a
+// manifest, and only then slides the durable window (CommitDurable).
 //
 // The PageCache holds a bounded number of page frames shared by all
 // segments of a store, with clock (second-chance) eviction, pin
-// counts (RAII Handle), and dirty tracking. When every frame is
-// pinned the cache soft-overflows by allocating an extra frame rather
-// than deadlocking. Hot-path I/O failures abort via DEEPCRAWL_CHECK;
-// checkpoint/recovery paths return Status.
+// counts (RAII Handle), and dirty tracking. Its page table is one
+// page→frame vector per file, so a hit is two array loads. When every
+// frame is pinned the cache soft-overflows by allocating an extra
+// frame rather than deadlocking. Hot-path I/O failures abort via
+// DEEPCRAWL_CHECK; checkpoint/recovery paths return Status.
 
 #ifndef DEEPCRAWL_UTIL_PAGE_CACHE_H_
 #define DEEPCRAWL_UTIL_PAGE_CACHE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -57,19 +55,29 @@ class CheckpointWriter;
 // On-disk page frame format version (framing payload = one page).
 inline constexpr uint32_t kPageFormatVersion = 1;
 
-// One logical segment: a growable array of fixed-size pages, each
-// stored as an epoch-versioned file. Not thread-safe (the paged store
-// is single-writer by construction).
+// One logical segment: a growable array of fixed-size pages stored in
+// one slot file. Not thread-safe (the paged store is single-writer by
+// construction).
 class PagedFile {
  public:
-  // `dir` must exist; `page_bytes` is the fixed page payload size.
-  PagedFile(std::string dir, std::string name, uint32_t page_bytes);
+  // Opens <dir>/<name>.seg, creating it if missing; `dir` must exist.
+  // `page_bytes` is the fixed page payload size.
+  PagedFile(const std::string& dir, const std::string& name,
+            uint32_t page_bytes);
+  ~PagedFile();
 
-  const std::string& name() const { return name_; }
+  PagedFile(const PagedFile&) = delete;
+  PagedFile& operator=(const PagedFile&) = delete;
+  PagedFile(PagedFile&&) = delete;
+  PagedFile& operator=(PagedFile&&) = delete;
+
+  const std::string& path() const { return path_; }
   uint32_t page_bytes() const { return page_bytes_; }
+  // Bytes of one slot: the framed page.
+  uint64_t frame_bytes() const { return frame_bytes_; }
   uint64_t num_pages() const { return pages_.size(); }
 
-  // Grows the page directory (new pages are virgin: epoch 0).
+  // Grows the page directory (new pages are virgin).
   void EnsurePages(uint64_t n);
 
   // Reads page `page` into `out` (exactly page_bytes). Virgin pages
@@ -77,62 +85,52 @@ class PagedFile {
   // I/O failure is a clean error.
   Status ReadPage(uint64_t page, char* out) const;
 
-  // Writes page `page` (exactly page_bytes) under a fresh epoch with
-  // a deferred-sync atomic rename, then deletes the superseded epoch
-  // file unless a manifest still references it. Durable only after
-  // the next SyncPending().
+  // Writes page `page` (exactly page_bytes) into a free slot and frees
+  // the page's previous slot unless a manifest still names it.
+  // Durable only after the next SyncPending().
   Status WritePage(uint64_t page, const char* data);
 
-  // fsyncs every file written since the last SyncPending (plus the
-  // directory, once). Part of the checkpoint protocol.
+  // fsyncs the file if it was written since the last SyncPending
+  // (plus its directory if the file was created since). Part of the
+  // checkpoint protocol.
   Status SyncPending();
 
-  // Called after a manifest referencing the current epochs has been
-  // durably written: slides the per-page durable window
-  // (prev <- last <- current) and deletes epoch files that fell out.
+  // Called after a manifest naming the current slots has been durably
+  // written: slides the per-page durable window (prev <- last <-
+  // current) and frees the slots that fell out.
   void CommitDurable();
 
-  // Serializes / restores the per-page epoch table for the manifest.
-  // LoadMeta resets the durable window to the loaded epochs.
+  // Serializes / restores the slot count and page→slot table for the
+  // manifest. LoadMeta rejects a slot at or past the slot count, two
+  // pages sharing a slot, or a slot count the file cannot hold; it
+  // resets the durable window to the loaded slots, rebuilds the free
+  // list and truncates the file to the loaded slot count.
   void AppendMeta(CheckpointWriter& w) const;
   Status LoadMeta(CheckpointReader& r);
 
-  // Deletes every <name>.p*.e* file in the directory that the current
-  // epoch table does not reference — crash leftovers from a run that
-  // died after this manifest was written. Call after LoadMeta.
-  Status SweepOrphans() const;
-
-  // Appends the full paths of every file this segment may still have
-  // on disk (current + durable-window epochs, deduplicated) — what a
-  // retiring hash generation schedules for deferred deletion.
-  void AppendOnDiskPaths(std::vector<std::string>& out) const;
-  // Appends the filenames of the current epoch of every non-virgin
-  // page — the reference set for a post-load directory sweep.
-  void AppendCurrentFileNames(std::vector<std::string>& out) const;
-
-  // Filename (not path) of page `page` at epoch `epoch`.
-  std::string PageFileName(uint64_t page, uint64_t epoch) const;
-  // True when `filename` names a page of this segment; sets outputs.
-  bool ParsePageFileName(const std::string& filename, uint64_t* page,
-                         uint64_t* epoch) const;
-
  private:
+  static constexpr uint64_t kNoSlot = ~uint64_t{0};  // virgin page
+
   struct PageState {
-    uint64_t current = 0;       // latest written epoch (0 = virgin)
-    uint64_t durable_last = 0;  // epoch referenced by the last manifest
-    uint64_t durable_prev = 0;  // epoch referenced by the one before
+    uint64_t current = kNoSlot;       // slot of the latest write
+    uint64_t durable_last = kNoSlot;  // slot named by the last manifest
+    uint64_t durable_prev = kNoSlot;  // slot named by the one before
   };
 
-  std::string PagePath(uint64_t page, uint64_t epoch) const;
-  void RemoveIfUnprotected(uint64_t page, uint64_t epoch);
+  // Frees `slot` unless `st` still names it.
+  void ReleaseSlot(const PageState& st, uint64_t slot);
 
-  std::string dir_;
-  std::string name_;
+  std::string path_;
   uint32_t page_bytes_;
-  uint64_t next_epoch_ = 1;
+  uint64_t frame_bytes_;
+  int fd_ = -1;
+  bool created_ = false;  // file created since the last SyncPending
+  bool written_ = false;  // file written since the last SyncPending
+  uint64_t num_slots_ = 0;
+  std::vector<uint64_t> free_slots_;
   std::vector<PageState> pages_;
-  // Paths written deferred-sync since the last SyncPending.
-  std::unordered_set<std::string> pending_sync_;
+  // Reused frame buffer for both directions of slot I/O.
+  mutable std::string frame_;
 };
 
 struct PageCacheStats {
@@ -152,7 +150,7 @@ class PageCache {
   PageCache& operator=(const PageCache&) = delete;
 
   // Registers a segment; the returned id keys every Acquire. The file
-  // must outlive the cache (or be dropped with DropFile first).
+  // must outlive the cache (or be dropped with UnregisterFile first).
   uint32_t RegisterFile(PagedFile* file);
 
   // RAII pin on a cached page frame. The frame pointer stays valid and
@@ -196,10 +194,24 @@ class PageCache {
   // evicting a victim) as needed. Grows the file's page directory on
   // access past the end. Aborts on I/O error — this is the hot path;
   // recovery-time validation goes through PagedFile directly.
-  Handle Acquire(uint32_t file_id, uint64_t page);
+  Handle Acquire(uint32_t file_id, uint64_t page) {
+    DEEPCRAWL_DCHECK(file_id < files_.size() &&
+                     files_[file_id].file != nullptr)
+        << "unregistered file id";
+    const std::vector<uint32_t>& frame_of = files_[file_id].frame_of;
+    if (page < frame_of.size() && frame_of[page] != kNoFrame) {
+      const uint32_t i = frame_of[page];
+      Frame& frame = frames_[i];
+      frame.referenced = true;
+      ++frame.pins;
+      ++stats_.hits;
+      return Handle(this, i);
+    }
+    return AcquireMiss(file_id, page);
+  }
 
-  // Writes every dirty frame (deferred-sync) across all files,
-  // clearing dirty bits; frames stay cached. Checkpoint step 1.
+  // Writes every dirty frame across all files, clearing dirty bits;
+  // frames stay cached. Checkpoint step 1.
   Status FlushAll();
 
   // Invalidates every frame of `file_id` (all must be unpinned);
@@ -217,6 +229,8 @@ class PageCache {
  private:
   friend class Handle;
 
+  static constexpr uint32_t kNoFrame = ~uint32_t{0};
+
   struct Frame {
     std::vector<char> data;
     uint32_t file_id = 0;
@@ -227,12 +241,14 @@ class PageCache {
     bool valid = false;
   };
 
-  static uint64_t FrameKey(uint32_t file_id, uint64_t page) {
-    // page indexes never approach 2^40 in practice (directories grow
-    // one page at a time); assert instead of silently aliasing.
-    DEEPCRAWL_DCHECK(page < (1ull << 40)) << "page index overflow";
-    return (static_cast<uint64_t>(file_id) << 40) | page;
-  }
+  struct Registered {
+    PagedFile* file = nullptr;
+    std::vector<uint32_t> frame_of;  // page -> frame, kNoFrame if absent
+  };
+
+  // Acquire's out-of-line miss path: reclaims a frame and reads the
+  // page into it.
+  Handle AcquireMiss(uint32_t file_id, uint64_t page);
 
   // Picks (evicting if needed) a frame for a new page. Clock sweep
   // with second chance; soft-overflows when everything is pinned.
@@ -240,18 +256,17 @@ class PageCache {
 
   uint32_t page_bytes_;
   uint32_t capacity_frames_;
-  std::vector<PagedFile*> files_;
+  std::vector<Registered> files_;
   std::vector<Frame> frames_;
-  std::unordered_map<uint64_t, uint32_t> frame_of_;
   size_t clock_hand_ = 0;
   PageCacheStats stats_;
 };
 
 // Fixed-stride element array over one PagedFile + cache: the paged
 // analogue of std::vector<T> for trivially copyable T. Elements never
-// straddle pages (stride = page_bytes / sizeof(T)); untouched
-// elements read as value-zero (virgin pages). Logical size is the
-// caller's business — this is pure random access.
+// straddle pages (stride = page_bytes / sizeof(T), a power of two);
+// untouched elements read as value-zero (virgin pages). Logical size
+// is the caller's business — this is pure random access.
 template <typename T>
 class PagedArray {
  public:
@@ -259,31 +274,32 @@ class PagedArray {
   PagedArray(PageCache* cache, PagedFile* file, uint32_t file_id)
       : cache_(cache), file_id_(file_id) {
     static_assert(std::is_trivially_copyable_v<T>);
-    per_page_ = file->page_bytes() / sizeof(T);
-    DEEPCRAWL_CHECK(per_page_ > 0)
-        << "page size " << file->page_bytes() << " below element size";
+    const uint64_t per_page = file->page_bytes() / sizeof(T);
+    DEEPCRAWL_CHECK(std::has_single_bit(per_page))
+        << "elements per page must be a power of two, got " << per_page;
+    shift_ = static_cast<uint32_t>(std::countr_zero(per_page));
+    mask_ = per_page - 1;
   }
 
   T Get(uint64_t i) const {
-    PageCache::Handle h = cache_->Acquire(file_id_, i / per_page_);
+    PageCache::Handle h = cache_->Acquire(file_id_, i >> shift_);
     T out;
-    std::memcpy(&out, h.data() + (i % per_page_) * sizeof(T), sizeof(T));
+    std::memcpy(&out, h.data() + (i & mask_) * sizeof(T), sizeof(T));
     return out;
   }
 
   void Set(uint64_t i, const T& v) {
-    PageCache::Handle h = cache_->Acquire(file_id_, i / per_page_);
+    PageCache::Handle h = cache_->Acquire(file_id_, i >> shift_);
     h.MarkDirty();
-    std::memcpy(h.data() + (i % per_page_) * sizeof(T), &v, sizeof(T));
+    std::memcpy(h.data() + (i & mask_) * sizeof(T), &v, sizeof(T));
   }
 
   // Bulk copy-out of [i, i+n) into dst, page by page.
   void Load(uint64_t i, T* dst, size_t n) const {
     while (n > 0) {
-      uint64_t page = i / per_page_;
-      size_t at = i % per_page_;
-      size_t run = std::min<size_t>(n, per_page_ - at);
-      PageCache::Handle h = cache_->Acquire(file_id_, page);
+      const size_t at = i & mask_;
+      const size_t run = std::min<size_t>(n, mask_ + 1 - at);
+      PageCache::Handle h = cache_->Acquire(file_id_, i >> shift_);
       std::memcpy(dst, h.data() + at * sizeof(T), run * sizeof(T));
       dst += run;
       i += run;
@@ -294,10 +310,9 @@ class PagedArray {
   // Bulk store of [i, i+n) from src, page by page.
   void Store(uint64_t i, const T* src, size_t n) {
     while (n > 0) {
-      uint64_t page = i / per_page_;
-      size_t at = i % per_page_;
-      size_t run = std::min<size_t>(n, per_page_ - at);
-      PageCache::Handle h = cache_->Acquire(file_id_, page);
+      const size_t at = i & mask_;
+      const size_t run = std::min<size_t>(n, mask_ + 1 - at);
+      PageCache::Handle h = cache_->Acquire(file_id_, i >> shift_);
       h.MarkDirty();
       std::memcpy(h.data() + at * sizeof(T), src, run * sizeof(T));
       src += run;
@@ -306,12 +321,13 @@ class PagedArray {
     }
   }
 
-  uint64_t elements_per_page() const { return per_page_; }
+  uint64_t elements_per_page() const { return mask_ + 1; }
 
  private:
   PageCache* cache_ = nullptr;
   uint32_t file_id_ = 0;
-  uint64_t per_page_ = 0;
+  uint32_t shift_ = 0;
+  uint64_t mask_ = 0;
 };
 
 }  // namespace deepcrawl

@@ -174,7 +174,8 @@ TEST(CrawlCheckpointTest, RoundTripContinuesToSameResult) {
 
 TEST(CrawlCheckpointTest, SaveLoadFileRoundTrip) {
   std::string image = MidCrawlImage("greedy", /*with_faults=*/false);
-  std::string path = testing::TempDir() + "/deepcrawl_ckpt_roundtrip.bin";
+  const testing_util::ScopedTempDir dir;
+  const std::string path = dir.path() + "/ckpt_roundtrip.bin";
 
   Stack source("greedy");
   source.engine->AddSeed(FirstQueriableSeed(CheckpointTarget()));
@@ -188,14 +189,13 @@ TEST(CrawlCheckpointTest, SaveLoadFileRoundTrip) {
       LoadCrawlCheckpoint(path, *resumed.engine, nullptr).ok());
   EXPECT_EQ(resumed.engine->rounds_used(), source.engine->rounds_used());
   EXPECT_EQ(resumed.store.num_records(), source.store.num_records());
-  std::remove(path.c_str());
 }
 
 TEST(CrawlCheckpointTest, MissingFileIsCleanError) {
   Stack stack("greedy");
-  Status status = LoadCrawlCheckpoint(
-      testing::TempDir() + "/deepcrawl_ckpt_does_not_exist.bin",
-      *stack.engine, nullptr);
+  const testing_util::ScopedTempDir dir;
+  Status status = LoadCrawlCheckpoint(dir.path() + "/ckpt_does_not_exist.bin",
+                                      *stack.engine, nullptr);
   EXPECT_FALSE(status.ok());
 }
 

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/crawler/local_store.h"
@@ -175,24 +177,64 @@ TEST(PagedStoreTest, CorruptPageSurfacesAsStatusAtLoad) {
     ASSERT_TRUE(result.ok());
     stamp = *result;
   }
-  // Flip one byte in one referenced page file; page 0 of the freq
-  // segment exists after any nonempty crawl — probe its epoch.
-  std::string victim;
-  for (uint64_t e = 1; e <= 4096 && victim.empty(); ++e) {
-    std::string candidate = dir.path() + "/freq.p0.e" + std::to_string(e);
-    if (ReadFileBytes(candidate).ok()) victim = candidate;
+  // Flip one byte in place in the slot of freq.seg that the manifest
+  // names for page 0 (it exists after any nonempty crawl). The
+  // manifest lists, after its header, each segment's slot count,
+  // page count and page slots; freq is the fifth segment.
+  StatusOr<std::string> manifest =
+      ReadFileBytes(dir.path() + "/MANIFEST." + std::to_string(stamp));
+  ASSERT_TRUE(manifest.ok());
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(*manifest, kPagedManifestVersion);
+  ASSERT_TRUE(payload.ok());
+  CheckpointReader r(*payload);
+  r.ReadU32();  // page size
+  r.ReadU8();   // exact-degrees mode
+  for (int i = 0; i < 6; ++i) r.ReadU64();  // store scalars
+  for (int segment = 0; segment < 4; ++segment) {
+    r.ReadU64();  // slot count
+    uint64_t pages = r.ReadU64();
+    for (uint64_t p = 0; p < pages; ++p) r.ReadU64();
   }
-  ASSERT_FALSE(victim.empty()) << "no freq page file found to corrupt";
-  StatusOr<std::string> bytes = ReadFileBytes(victim);
-  ASSERT_TRUE(bytes.ok());
-  (*bytes)[bytes->size() - 3] ^= 0x10;  // land in the checksum/payload
-  ASSERT_TRUE(WriteFileAtomic(victim, *bytes).ok());
+  const uint64_t freq_slots = r.ReadU64();
+  ASSERT_GT(r.ReadU64(), 0u) << "freq segment has no pages";
+  const uint64_t slot = r.ReadU64();
+  ASSERT_TRUE(r.ok());
+  ASSERT_LT(slot, freq_slots);
+  const std::string victim = dir.path() + "/freq.seg";
+  const uint64_t frame_bytes = std::filesystem::file_size(victim) / freq_slots;
+  // Land in the checksum/payload.
+  testing_util::FlipByteInPlace(victim, (slot + 1) * frame_bytes - 3);
 
   PagedStore::Options options = TinyOptions(dir.path());
   options.resume = true;
   PagedStore reopened(options);
   Status loaded = reopened.LoadCheckpoint(stamp);
   EXPECT_FALSE(loaded.ok()) << "corrupt page must fail the load scrub";
+}
+
+TEST(PagedStoreTest, OldFormatManifestIsCleanError) {
+  // A store directory written before the slot-file format: its
+  // manifest carries version 1 and must fail the resume cleanly.
+  const testing_util::ScopedTempDir dir;
+  {
+    PagedStore paged(TinyOptions(dir.path()));
+    LocalStore reference;
+    FeedBoth(reference, paged, 50, 40, 53);
+    ASSERT_TRUE(paged.Checkpoint().ok());
+  }
+  const std::string path = dir.path() + "/MANIFEST.1";
+  StatusOr<std::string> manifest = ReadFileBytes(path);
+  ASSERT_TRUE(manifest.ok());
+  StatusOr<std::string_view> payload =
+      UnframeCheckpoint(*manifest, kPagedManifestVersion);
+  ASSERT_TRUE(payload.ok());
+  ASSERT_TRUE(WriteFileAtomic(path, FrameCheckpoint(*payload, 1)).ok());
+  PagedStore::Options options = TinyOptions(dir.path());
+  options.resume = true;
+  PagedStore reopened(options);
+  Status loaded = reopened.LoadCheckpoint(1);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument) << loaded.ToString();
 }
 
 TEST(PagedStoreTest, MissingManifestIsCleanError) {

@@ -326,8 +326,8 @@ TEST(NetDifferentialTest, CheckpointResumeAcrossServerRestart) {
   const Env env = MovieEnv();
   RunOutput reference = RunInProcess(env, "greedy", "none", /*batch=*/8);
 
-  std::string path =
-      ::testing::TempDir() + "/net_differential_resume.ckpt";
+  const testing_util::ScopedTempDir dir;
+  const std::string path = dir.path() + "/net_differential_resume.ckpt";
   uint16_t port = 0;
   {
     TcpEnv tcp(env, "none");
@@ -379,7 +379,6 @@ TEST(NetDifferentialTest, CheckpointResumeAcrossServerRestart) {
     RunOutput resumed = Capture(*result, store);
     ExpectIdentical(reference, resumed, "resume-across-restart");
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <string>
 #include <system_error>
@@ -46,6 +47,20 @@ class ScopedTempDir {
  private:
   std::string path_;
 };
+
+// Flips one byte of the file at `path` in place: same inode, so a
+// reader holding the file open sees the damage.
+inline void FlipByteInPlace(const std::string& path, uint64_t offset) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  DEEPCRAWL_CHECK(file.is_open()) << "cannot open " << path;
+  file.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  file.get(byte);
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(static_cast<char>(byte ^ 0x40));
+  DEEPCRAWL_CHECK(file.good()) << "cannot flip byte " << offset << " of "
+                               << path;
+}
 
 // One test record: list of (attribute name, value text) pairs.
 using Row = std::vector<std::pair<std::string, std::string>>;

@@ -25,21 +25,19 @@
 #include <thread>
 #include <vector>
 
+#include "tests/test_util.h"
+
 namespace deepcrawl {
 namespace {
 
-std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 TEST(WriteFileAtomicTest, RoundtripReplacesPreviousContent) {
-  std::string path = TestPath("deepcrawl_atomic_roundtrip.bin");
+  const testing_util::ScopedTempDir dir;
+  const std::string path = dir.path() + "/atomic_roundtrip.bin";
   ASSERT_TRUE(WriteFileAtomic(path, "first").ok());
   ASSERT_TRUE(WriteFileAtomic(path, "second-longer-content").ok());
   StatusOr<std::string> read = ReadFileBytes(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, "second-longer-content");
-  std::remove(path.c_str());
 }
 
 TEST(WriteFileAtomicTest, UncreatableTempIsNotFound) {
@@ -55,7 +53,8 @@ TEST(WriteFileAtomicTest, ConcurrentWritersToOnePathNeverTear) {
   // truncates the other's) and loses renames; with per-writer-unique
   // names every call must succeed and every observable file state is
   // one writer's complete payload.
-  std::string path = TestPath("deepcrawl_atomic_concurrent.bin");
+  const testing_util::ScopedTempDir dir;
+  const std::string path = dir.path() + "/atomic_concurrent.bin";
   // Large enough that a write is not one atomic page, so a shared temp
   // file would interleave.
   std::string a(1 << 20, 'A');
@@ -81,14 +80,14 @@ TEST(WriteFileAtomicTest, ConcurrentWritersToOnePathNeverTear) {
   ASSERT_TRUE(survivor.ok());
   EXPECT_TRUE(*survivor == a || *survivor == b)
       << "surviving file is a torn mix of both writers";
-  std::remove(path.c_str());
 }
 
 TEST(WriteFileAtomicTest, DeferredSyncThenSyncFileDurable) {
   // The deferred-sync variant must still be atomic-by-rename and
   // readable immediately; SyncFileDurable then upgrades it to durable
   // without changing content.
-  std::string path = TestPath("deepcrawl_atomic_deferred.bin");
+  const testing_util::ScopedTempDir dir;
+  const std::string path = dir.path() + "/atomic_deferred.bin";
   ASSERT_TRUE(WriteFileAtomicDeferredSync(path, "lazy bytes").ok());
   StatusOr<std::string> read = ReadFileBytes(path);
   ASSERT_TRUE(read.ok());
@@ -97,18 +96,19 @@ TEST(WriteFileAtomicTest, DeferredSyncThenSyncFileDurable) {
   read = ReadFileBytes(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, "lazy bytes");
-  std::remove(path.c_str());
 }
 
 TEST(WriteFileAtomicTest, SyncMissingFileIsInternal) {
-  Status status = SyncFileDurable(TestPath("deepcrawl_never_written.bin"));
+  const testing_util::ScopedTempDir dir;
+  Status status = SyncFileDurable(dir.path() + "/never_written.bin");
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 
 TEST(WriteFileAtomicTest, NoTempFilesLeftBehind) {
   // Both variants clean up: after successful writes the directory
   // holds only the destination (plus whatever else the suite left).
-  std::string path = TestPath("deepcrawl_atomic_clean.bin");
+  const testing_util::ScopedTempDir dir;
+  const std::string path = dir.path() + "/atomic_clean.bin";
   ASSERT_TRUE(WriteFileAtomic(path, "x").ok());
   ASSERT_TRUE(WriteFileAtomicDeferredSync(path, "y").ok());
   // Any leftover temp would match <path>.tmp.<pid>.<seq>; probing the
@@ -119,7 +119,6 @@ TEST(WriteFileAtomicTest, NoTempFilesLeftBehind) {
                       std::to_string(seq);
     EXPECT_FALSE(ReadFileBytes(tmp).ok()) << tmp;
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -339,8 +339,8 @@ else
   # crawl over --layout=paged must emit a trace byte-identical to the
   # in-memory run. (b) Durability: a paged crawl checkpointing every
   # wave, SIGKILLed mid-run, must resume from the durable page
-  # manifest in the SAME store directory (sweeping the crash window's
-  # orphan epochs) and still finish byte-identical. Runs under the
+  # manifest in the SAME store directory (ignoring the crash window's
+  # writes to free slots) and still finish byte-identical. Runs under the
   # ASan binary when pass 2 built one, so the recovery scrub and the
   # copy-out accessors get bounds-checked while they thrash.
   PAGED_DIR="$(mktemp -d)"
