@@ -154,8 +154,8 @@ int RunJsonSuite(const std::string& json_path) {
   const Table& table = SharedEbay();
   bench::BenchJson json("micro");
 
-  // LocalStore ingest, exact distinct-neighbor degrees (the CSR
-  // adjacency + flat edge-hash path).
+  // LocalStore ingest, exact distinct-neighbor degrees (the flat
+  // edge-hash + degree-counter path).
   double exact_s = bench::BestWallSeconds([&] { IngestOnce(table, true); });
   json.Add("ingest_exact_rps",
            static_cast<double>(table.num_records()) / exact_s, "records/s",

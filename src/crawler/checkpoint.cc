@@ -22,13 +22,20 @@ bool ExpectSectionMarker(CheckpointReader& reader, uint32_t marker,
 
 StatusOr<std::string> EncodeCrawlCheckpoint(const CrawlEngine& engine,
                                             const FaultyServer* faulty) {
-  CheckpointWriter writer;
+  // The payload is encoded straight into the framed image, so it is
+  // never copied; the bytes equal FrameCheckpoint of the payload.
+  std::string image;
+  const size_t payload_start =
+      OpenCheckpointFrame(image, kCrawlCheckpointVersion);
+  CheckpointWriter writer(std::move(image));
   DEEPCRAWL_RETURN_IF_ERROR(engine.SaveState(writer));
   WriteSectionMarker(writer, kSectionFaulty);
   writer.WriteU8(faulty != nullptr ? 1 : 0);
   if (faulty != nullptr) faulty->SaveState(writer);
   WriteSectionMarker(writer, kSectionEnd);
-  return FrameCheckpoint(writer.buffer(), kCrawlCheckpointVersion);
+  image = writer.TakeBuffer();
+  CloseCheckpointFrame(image, payload_start);
+  return image;
 }
 
 Status DecodeCrawlCheckpoint(std::string_view image, CrawlEngine& engine,

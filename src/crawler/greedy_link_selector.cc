@@ -46,8 +46,22 @@ void GreedyLinkSelector::OnRecordHarvested(uint32_t slot) {
 }
 
 Status GreedyLinkSelector::SaveState(CheckpointWriter& writer) const {
-  writer.WriteU64(heap_.size());
+  // Only live entries are written: a pending value's entry at its
+  // last-pushed degree. Every other entry is skipped on pop (stale or
+  // not pending), so dropping them cannot change pop order; sorted
+  // descending, the live entries already form a valid max-heap.
+  std::vector<HeapEntry> live;
+  live.reserve(frontier_size());
   for (const HeapEntry& entry : heap_) {
+    if (IsPending(entry.value) &&
+        entry.degree == last_pushed_degree_[entry.value]) {
+      live.push_back(entry);
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [](const HeapEntry& a, const HeapEntry& b) { return b < a; });
+  writer.WriteU64(live.size());
+  for (const HeapEntry& entry : live) {
     writer.WriteU64(entry.degree);
     writer.WriteU32(entry.value);
   }
@@ -79,7 +93,7 @@ Status GreedyLinkSelector::LoadState(CheckpointReader& reader,
       reader.MarkCorrupt("heap value id out of range");
       break;
     }
-    // Entries were saved in heap order, so the vector is a valid
+    // Entries were saved in descending order, so the vector is a valid
     // max-heap as-is — pop order is preserved exactly.
     heap_.push_back(HeapEntry{degree, v});
   }

@@ -49,10 +49,11 @@ class GreedyLinkSelector : public FrontierSelector {
   ValueId SelectNext() override;
   std::string_view name() const override { return "greedy-link"; }
 
-  // Checkpointing: the heap vector is serialized verbatim (it is already
-  // heap-ordered, so restoring it preserves pop order exactly), the
-  // frontier in its current swap-erase permutation, and the
-  // last-pushed-degree table sparsely.
+  // Checkpointing: the heap's live entries (pending values at their
+  // last-pushed degree) in descending order, which is a valid max-heap
+  // with the same pop order as the full heap; the frontier in its
+  // current swap-erase permutation; and the last-pushed-degree table
+  // sparsely.
   Status SaveState(CheckpointWriter& writer) const override;
   Status LoadState(CheckpointReader& reader, ValueId value_bound) override;
 

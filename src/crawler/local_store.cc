@@ -28,13 +28,10 @@ void LocalStore::EnsureValueCapacity(ValueId v) {
   link_count_.resize(new_size, 0);
   if (options_.layout == Layout::kCsr) {
     postings_csr_.EnsureRows(new_size);
-    if (options_.exact_degrees) adjacency_csr_.EnsureRows(new_size);
+    if (options_.exact_degrees) degree_.resize(new_size, 0);
   } else {
     local_postings_ref_.resize(new_size);
-    if (options_.exact_degrees) {
-      neighbor_sets_ref_.resize(new_size);
-      neighbor_lists_ref_.resize(new_size);
-    }
+    if (options_.exact_degrees) neighbor_sets_ref_.resize(new_size);
   }
 }
 
@@ -63,21 +60,23 @@ bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
   }
   if (options_.exact_degrees) {
     if (csr) {
-      // One probe per unordered pair: a new (min, max) edge appends each
-      // endpoint to the other's adjacency row, in record order — so the
-      // rows come out in first-co-occurrence order deterministically.
+      // One probe per unordered pair; a new (min, max) edge bumps both
+      // endpoints' degrees. The table grows once for the whole record,
+      // and every pair's home slot is prefetched before the first probe
+      // so the probes' cache misses overlap instead of queueing.
+      pair_keys_.clear();
       for (size_t i = 0; i + 1 < values.size(); ++i) {
         for (size_t j = i + 1; j < values.size(); ++j) {
-          ValueId a = values[i];
-          ValueId b = values[j];
-          if (a == b) continue;
-          ValueId lo = a < b ? a : b;
-          ValueId hi = a < b ? b : a;
-          uint64_t key = (static_cast<uint64_t>(lo) << 32) | hi;
-          if (edge_set_.Insert(key)) {
-            adjacency_csr_.Append(a, b);
-            adjacency_csr_.Append(b, a);
-          }
+          if (values[i] == values[j]) continue;
+          pair_keys_.push_back(PackUnorderedPair(values[i], values[j]));
+        }
+      }
+      edge_set_.Reserve(pair_keys_.size());
+      for (uint64_t key : pair_keys_) edge_set_.Prefetch(key);
+      for (uint64_t key : pair_keys_) {
+        if (edge_set_.Insert(key)) {
+          ++degree_[key >> 32];
+          ++degree_[static_cast<ValueId>(key)];
         }
       }
     } else {
@@ -86,12 +85,8 @@ bool LocalStore::AddRecord(RecordId id, std::span<const ValueId> values) {
           ValueId a = values[i];
           ValueId b = values[j];
           if (a == b) continue;
-          if (neighbor_sets_ref_[a].insert(b).second) {
-            neighbor_lists_ref_[a].push_back(b);
-          }
-          if (neighbor_sets_ref_[b].insert(a).second) {
-            neighbor_lists_ref_[b].push_back(a);
-          }
+          neighbor_sets_ref_[a].insert(b);
+          neighbor_sets_ref_[b].insert(a);
         }
       }
     }
@@ -160,20 +155,10 @@ uint64_t LocalStore::LocalDegree(ValueId v) const {
   if (paged_ != nullptr) return paged_->LocalDegree(v);
   if (v >= local_frequency_.size()) return 0;
   if (options_.exact_degrees) {
-    if (options_.layout == Layout::kCsr) return adjacency_csr_.RowSize(v);
+    if (options_.layout == Layout::kCsr) return degree_[v];
     return neighbor_sets_ref_[v].size();
   }
   return link_count_[v];
-}
-
-std::span<const ValueId> LocalStore::NeighborsSpan(ValueId v) const {
-  if (paged_ != nullptr) {
-    paged_->CopyNeighbors(v, neighbors_scratch_);
-    return neighbors_scratch_;
-  }
-  if (!options_.exact_degrees || v >= local_frequency_.size()) return {};
-  if (options_.layout == Layout::kCsr) return adjacency_csr_.Row(v);
-  return neighbor_lists_ref_[v];
 }
 
 std::span<const uint32_t> LocalStore::LocalPostings(ValueId v) const {

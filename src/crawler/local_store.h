@@ -16,15 +16,17 @@
 //     off in favour of a cheap "link count" (degree with multiplicity)
 //     when memory matters; the ablation bench compares both.
 //
-// Hot-path layout (the kCsr default): postings and the G_local
-// adjacency live in ChunkedArena dynamic-CSR stores (one flat buffer
-// each, amortized relocation on doubling, epoch compaction), and edge
-// dedup goes through one flat open-addressing hash of packed
-// (min, max) value pairs — a single probe per record value pair instead
-// of two std::unordered_set inserts. The pre-optimization layout (one
-// unordered_set per value, one vector per posting list) is kept behind
-// Options::layout = kReference so the differential suite can prove the
-// two produce byte-identical crawls; see DESIGN.md §9.
+// Hot-path layout (the kCsr default): postings live in a ChunkedArena
+// dynamic-CSR store (one flat buffer, amortized relocation on doubling,
+// epoch compaction), and G_local is kept only as what the selectors
+// read from it, a per-value degree counter. Edge dedup goes through one
+// flat open-addressing hash of packed (min, max) value pairs, probed
+// once per record value pair with every pair's slot prefetched first;
+// a new edge bumps both endpoints' counters. The pre-optimization
+// layout (one unordered_set of neighbors and one vector of postings per
+// value) is kept behind Options::layout = kReference so the
+// differential suite can prove the two produce byte-identical crawls;
+// see DESIGN.md §9.
 
 #ifndef DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
 #define DEEPCRAWL_CRAWLER_LOCAL_STORE_H_
@@ -50,12 +52,12 @@ struct PageCacheStats;
 class LocalStore {
  public:
   // Which physical layout backs the statistics table. All produce
-  // identical observable behaviour (degrees, spans, frequencies, and
+  // identical observable behaviour (degrees, postings, frequencies, and
   // their orders); kReference exists only as the differential-test
   // yardstick and for A/B benchmarking, kPaged spills to disk through
   // a bounded page cache so the store can exceed RAM (DESIGN.md §14).
   enum class Layout {
-    kCsr,        // flat arenas + edge hash (the fast in-memory default)
+    kCsr,        // flat arena + edge hash + degree counters (the default)
     kReference,  // one unordered_set / vector per value (pre-PR layout)
     kPaged,      // on-disk page-cache backend (src/crawler/paged_store.h)
   };
@@ -116,14 +118,6 @@ class LocalStore {
   // tracking is on, otherwise the with-multiplicity link count.
   uint64_t LocalDegree(ValueId v) const;
 
-  // Distinct G_local neighbors of `v`, in first-co-occurrence order
-  // (deterministic and identical across layouts). Empty when exact
-  // degree tracking is off. Invalidated by the next AddRecord — and,
-  // under kPaged, by the next NeighborsSpan call (each accessor owns
-  // one copy-out scratch buffer; holding spans from two *different*
-  // accessors simultaneously is fine).
-  std::span<const ValueId> NeighborsSpan(ValueId v) const;
-
   // Local record slots (indices into this store) containing `v`.
   // Invalidated by the next AddRecord (kPaged: or LocalPostings call).
   std::span<const uint32_t> LocalPostings(ValueId v) const;
@@ -168,24 +162,22 @@ class LocalStore {
   std::vector<uint32_t> local_frequency_;
   std::vector<uint64_t> link_count_;
 
-  // kCsr layout: dynamic-CSR postings and adjacency, plus the flat edge
-  // hash that deduplicates G_local edges ((min << 32) | max keys).
+  // kCsr layout: dynamic-CSR postings, the flat hash that deduplicates
+  // G_local edges ((min << 32) | max keys), the exact degrees it counts,
+  // and one record's pair keys (scratch reused across AddRecord calls).
   ChunkedArena<uint32_t> postings_csr_;
-  ChunkedArena<ValueId> adjacency_csr_;
   FlatSet64 edge_set_;
+  std::vector<uint32_t> degree_;
+  std::vector<uint64_t> pair_keys_;
 
-  // kReference layout: the pre-optimization containers. The neighbor
-  // list mirrors adjacency_csr_'s first-co-occurrence order so
-  // NeighborsSpan is layout-independent.
+  // kReference layout: the pre-optimization containers.
   std::vector<std::vector<uint32_t>> local_postings_ref_;
   std::vector<std::unordered_set<ValueId>> neighbor_sets_ref_;
-  std::vector<std::vector<ValueId>> neighbor_lists_ref_;
 
   // kPaged layout: the on-disk backend plus one scratch buffer per
   // span accessor (rows cross page boundaries, so spans are served
   // from copy-outs; mutable because reading pages touches the cache).
   std::unique_ptr<PagedStore> paged_;
-  mutable std::vector<ValueId> neighbors_scratch_;
   mutable std::vector<uint32_t> postings_scratch_;
   mutable std::vector<ValueId> record_scratch_;
 };

@@ -296,6 +296,16 @@ void PagedStore::ArenaAppend(PagedArray<uint32_t>& data,
   dir.Set(row, meta);
 }
 
+void PagedStore::Retire(std::vector<std::string> paths) {
+  if (paths.empty()) return;
+  if (last_stamp_ == 0) {
+    // No manifest exists yet, so none can name these files.
+    for (const std::string& path : paths) std::remove(path.c_str());
+    return;
+  }
+  retired_.push_back(Retired{last_stamp_ + 2, std::move(paths)});
+}
+
 bool PagedStore::AddRecord(RecordId id, std::span<const ValueId> values) {
   DEEPCRAWL_CHECK(!values.empty()) << "harvested record has no values";
   uint32_t slot = static_cast<uint32_t>(num_records_);
@@ -303,9 +313,7 @@ bool PagedStore::AddRecord(RecordId id, std::span<const ValueId> values) {
   auto [unused, inserted] =
       impl_->idmap.TryInsert(static_cast<uint64_t>(id) + 1, slot, &retired);
   (void)unused;
-  if (!retired.empty()) {
-    retired_.push_back(Retired{last_stamp_ + 2, std::move(retired)});
-  }
+  Retire(std::move(retired));
   if (!inserted) return false;
 
   impl_->recvals.Store(recvals_size_, values.data(), values.size());
@@ -330,15 +338,11 @@ bool PagedStore::AddRecord(RecordId id, std::span<const ValueId> values) {
         ValueId a = values[i];
         ValueId b = values[j];
         if (a == b) continue;
-        ValueId lo = a < b ? a : b;
-        ValueId hi = a < b ? b : a;
-        uint64_t key = (static_cast<uint64_t>(lo) << 32) | hi;
+        uint64_t key = PackUnorderedPair(a, b);
         std::vector<std::string> edge_retired;
         auto [eunused, fresh] = impl_->edges.TryInsert(key, 1, &edge_retired);
         (void)eunused;
-        if (!edge_retired.empty()) {
-          retired_.push_back(Retired{last_stamp_ + 2, std::move(edge_retired)});
-        }
+        Retire(std::move(edge_retired));
         if (fresh) {
           ArenaAppend(impl_->adjdata, impl_->adjdir, adj_tail_, a, b);
           ArenaAppend(impl_->adjdata, impl_->adjdir, adj_tail_, b, a);

@@ -30,7 +30,8 @@
 // The hash segments grow by generations: a rehash writes a fresh
 // `<name>.g<gen+1>.seg` file and retires the old generation's file,
 // which is kept until two more checkpoints commit (older manifests
-// may still reference it) and then deleted.
+// may still reference it) and then deleted — or deleted at once while
+// the store has no manifest yet.
 //
 // Checkpoint contract: Checkpoint() flushes dirty frames, fsyncs
 // each segment written since the last checkpoint, durably writes
@@ -138,6 +139,9 @@ class PagedStore {
   // Store-wide sweep: deletes every file in the directory that starts
   // with a store prefix but is not in `expected` (paths).
   Status SweepDirectory(const std::vector<std::string>& expected) const;
+  // Deletes retired hash-generation files at once while no manifest
+  // exists, otherwise queues them until two more checkpoints commit.
+  void Retire(std::vector<std::string> paths);
   // Arena append with doubling relocation (no compaction).
   void ArenaAppend(PagedArray<uint32_t>& data, PagedArray<RowMeta>& dir,
                    uint64_t& tail, uint64_t row, uint32_t value);

@@ -20,15 +20,15 @@ constexpr size_t kFooterSize = 8;          // checksum
 }  // namespace
 
 void CheckpointWriter::WriteU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  buffer_.append(bytes, sizeof(bytes));
 }
 
 void CheckpointWriter::WriteU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  buffer_.append(bytes, sizeof(bytes));
 }
 
 void CheckpointWriter::WriteDouble(double v) {
@@ -221,10 +221,9 @@ std::string UniqueTempName(const std::string& path) {
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
-// Shared temp+rename body; `durable` adds the fsync-before-rename and
-// fsync-parent-dir-after steps that make the write crash-safe.
-Status WriteFileAtomicImpl(const std::string& path, std::string_view bytes,
-                           bool durable) {
+}  // namespace
+
+Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
   std::string tmp = UniqueTempName(path);
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Status::NotFound("cannot create '" + tmp + "'");
@@ -241,7 +240,7 @@ Status WriteFileAtomicImpl(const std::string& path, std::string_view bytes,
     }
     written += static_cast<size_t>(n);
   }
-  if (durable && ::fsync(fd) != 0) {
+  if (::fsync(fd) != 0) {
     int err = errno;
     ::close(fd);
     std::remove(tmp.c_str());
@@ -258,24 +257,9 @@ Status WriteFileAtomicImpl(const std::string& path, std::string_view bytes,
     std::remove(tmp.c_str());
     return Status::Internal("cannot rename '" + tmp + "' to '" + path + "'");
   }
-  if (durable) {
-    // Without this the rename itself may be lost in a crash, leaving
-    // the directory entry pointing at the old (or no) file.
-    Status dir_status = SyncDir(ParentDir(path));
-    if (!dir_status.ok()) return dir_status;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  return WriteFileAtomicImpl(path, bytes, /*durable=*/true);
-}
-
-Status WriteFileAtomicDeferredSync(const std::string& path,
-                                   std::string_view bytes) {
-  return WriteFileAtomicImpl(path, bytes, /*durable=*/false);
+  // Without this the rename itself may be lost in a crash, leaving the
+  // directory entry pointing at the old (or no) file.
+  return SyncDir(ParentDir(path));
 }
 
 Status SyncFileDurable(const std::string& path) {

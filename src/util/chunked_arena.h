@@ -1,13 +1,12 @@
 // ChunkedArena: per-row growable lists packed into one flat arena — a
 // dynamic CSR layout with amortized relocation and epoch compaction.
 //
-// The LocalStore keeps two families of per-value lists that grow one
-// element at a time as records are harvested: the local postings
-// (record slots containing a value) and the local-AVG adjacency
-// (distinct co-occurring values). Holding each list in its own
-// std::vector (let alone std::unordered_set) costs an allocation per
-// list plus scattered heap traffic on every scan. This container packs
-// every row into a single contiguous arena:
+// The crawler keeps per-value lists that grow one element at a time as
+// records are harvested: the LocalStore's local postings (record slots
+// containing a value) and the MMMI selector's co-occurrence partner
+// rows. Holding each list in its own std::vector costs an allocation
+// per list plus scattered heap traffic on every scan. This container
+// packs every row into a single contiguous arena:
 //
 //   * each row owns a [offset, offset+capacity) chunk of the arena;
 //   * Append into a full row relocates it to the arena tail with
@@ -70,10 +69,6 @@ class ChunkedArena {
     if (row >= rows_.size()) return {};
     const RowMeta& meta = rows_[row];
     return std::span<T>(arena_.data() + meta.offset, meta.size);
-  }
-
-  uint32_t RowSize(size_t row) const {
-    return row < rows_.size() ? rows_[row].size : 0;
   }
 
   // Total live elements across all rows.

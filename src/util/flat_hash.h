@@ -10,7 +10,7 @@
 // only, no erase — because that is exactly what the crawl loop needs.
 //
 // Key convention: 0 is the empty-slot sentinel, so keys must be nonzero.
-// Both call sites pack two distinct 32-bit ids into one key
+// The call sites pack two distinct 32-bit ids into one key
 // ((a << 32) | b with a != b), which can never be 0.
 
 #ifndef DEEPCRAWL_UTIL_FLAT_HASH_H_
@@ -37,6 +37,12 @@ inline uint64_t FlatHashMix(uint64_t key) {
   return key;
 }
 
+// The key of the unordered pair {a, b} of distinct ids: (min << 32) | max.
+inline uint64_t PackUnorderedPair(uint32_t a, uint32_t b) {
+  return a < b ? (static_cast<uint64_t>(a) << 32) | b
+               : (static_cast<uint64_t>(b) << 32) | a;
+}
+
 // Open-addressing set of nonzero 64-bit keys.
 class FlatSet64 {
  public:
@@ -45,7 +51,7 @@ class FlatSet64 {
   // Inserts `key`; returns true when it was not present before.
   bool Insert(uint64_t key) {
     DEEPCRAWL_DCHECK(key != 0) << "0 is the empty-slot sentinel";
-    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) Grow();
+    Reserve(1);
     size_t i = FlatHashMix(key) & mask_;
     while (slots_[i] != 0) {
       if (slots_[i] == key) return false;
@@ -66,11 +72,25 @@ class FlatSet64 {
     return false;
   }
 
+  // Grows (with a single rehash) so that `more` further inserts cannot
+  // trigger one, which would move the slots a Prefetch has just warmed.
+  void Reserve(size_t more) {
+    size_t cap = slots_.empty() ? 64 : slots_.size();
+    while ((size_ + more) * 4 > cap * 3) cap *= 2;
+    if (cap != slots_.size()) Rehash(cap);
+  }
+
+  // Pulls `key`'s home slot into cache ahead of its Insert/Contains, so
+  // a batch of probes overlaps its misses. Needs a non-empty table
+  // (Reserve first).
+  void Prefetch(uint64_t key) const {
+    __builtin_prefetch(&slots_[FlatHashMix(key) & mask_]);
+  }
+
   size_t size() const { return size_; }
 
  private:
-  void Grow() {
-    size_t new_cap = slots_.empty() ? 64 : slots_.size() * 2;
+  void Rehash(size_t new_cap) {
     std::vector<uint64_t> old = std::move(slots_);
     slots_.assign(new_cap, 0);
     mask_ = new_cap - 1;

@@ -9,9 +9,10 @@
 //     queried after some fetched record revealed it or it was a seed),
 //     and the local store is a faithful subset of the true table — local
 //     frequency and local degree never exceed their true-table / AVG
-//     counterparts, and the store's CSR adjacency (NeighborsSpan) is a
-//     symmetric, duplicate-free subgraph of the truth AVG whose row
-//     sizes equal LocalDegree.
+//     counterparts, and LocalDegree equals the number of distinct
+//     values co-occurring in local records, every one of which is a
+//     truth-AVG neighbor (G_local is a symmetric, irreflexive subgraph
+//     of the truth AVG).
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,7 @@
 namespace deepcrawl {
 namespace {
 
+using testing_util::LocalNeighborsBruteForce;
 using testing_util::MakeTable;
 using testing_util::Row;
 
@@ -170,18 +172,23 @@ void CheckLocalSubsetOfTruth(const Table& table, const AttributeValueGraph& avg,
   }
   ASSERT_LE(store.num_records(), table.num_records());
   ASSERT_GE(store.num_observations(), store.num_records());
-  // The CSR adjacency mirrors LocalDegree exactly and is itself a
-  // symmetric, irreflexive, duplicate-free subgraph of the truth AVG.
+  // LocalDegree counts exactly the distinct values co-occurring in the
+  // local records, and those local edges form a symmetric, irreflexive,
+  // duplicate-free subgraph of the truth AVG.
+  std::vector<std::vector<ValueId>> local_neighbors(store.num_values_seen());
   for (ValueId v = 0; v < store.num_values_seen(); ++v) {
-    std::span<const ValueId> neighbors = store.NeighborsSpan(v);
-    ASSERT_EQ(neighbors.size(), store.LocalDegree(v)) << "value " << v;
+    local_neighbors[v] = LocalNeighborsBruteForce(store, v);
+    ASSERT_EQ(local_neighbors[v].size(), store.LocalDegree(v))
+        << "value " << v;
+  }
+  for (ValueId v = 0; v < store.num_values_seen(); ++v) {
     std::set<ValueId> distinct;
-    for (ValueId u : neighbors) {
+    for (ValueId u : local_neighbors[v]) {
       ASSERT_NE(u, v) << "self loop at " << v;
       ASSERT_TRUE(distinct.insert(u).second) << "duplicate " << u;
       ASSERT_TRUE(avg.HasEdge(v, u))
           << "local edge " << v << "-" << u << " absent from truth AVG";
-      std::span<const ValueId> back = store.NeighborsSpan(u);
+      const std::vector<ValueId>& back = local_neighbors[u];
       ASSERT_NE(std::find(back.begin(), back.end(), v), back.end())
           << "asymmetric local edge " << v << "-" << u;
     }

@@ -172,6 +172,48 @@ TEST(CrawlCheckpointTest, RoundTripContinuesToSameResult) {
   }
 }
 
+// EncodeCrawlCheckpoint encodes its payload straight into the framed
+// image; the bytes must equal framing a separately encoded payload.
+TEST(CrawlCheckpointTest, ImageEqualsFramedSaveStatePayload) {
+  for (bool with_faults : {false, true}) {
+    SCOPED_TRACE(with_faults ? "faulty" : "direct");
+    Stack stack("mmmi", with_faults);
+    stack.engine->AddSeed(FirstQueriableSeed(CheckpointTarget()));
+    stack.engine->set_max_rounds(40);
+    ASSERT_TRUE(stack.engine->Run().ok());
+    StatusOr<std::string> image =
+        EncodeCrawlCheckpoint(*stack.engine, stack.faulty_ptr());
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+
+    CheckpointWriter payload;
+    ASSERT_TRUE(stack.engine->SaveState(payload).ok());
+    WriteSectionMarker(payload, kSectionFaulty);
+    payload.WriteU8(with_faults ? 1 : 0);
+    if (with_faults) stack.faulty->SaveState(payload);
+    WriteSectionMarker(payload, kSectionEnd);
+    EXPECT_EQ(*image, FrameCheckpoint(payload.buffer(),
+                                      kCrawlCheckpointVersion));
+  }
+}
+
+// A greedy-link checkpoint writes one heap entry per pending value,
+// although the live heap also holds stale and already-taken entries.
+TEST(CrawlCheckpointTest, GreedyLinkHeapCountEqualsFrontierSize) {
+  Stack stack("greedy");
+  stack.engine->AddSeed(FirstQueriableSeed(CheckpointTarget()));
+  stack.engine->set_max_rounds(40);
+  ASSERT_TRUE(stack.engine->Run().ok());
+  const auto& greedy =
+      dynamic_cast<const GreedyLinkSelector&>(*stack.selector);
+  ASSERT_GT(greedy.frontier_size(), 0u);
+  EXPECT_GT(greedy.heap_size(), greedy.frontier_size())
+      << "no stale heap entries to drop";
+  CheckpointWriter writer;
+  ASSERT_TRUE(greedy.SaveState(writer).ok());
+  CheckpointReader reader(writer.buffer());
+  EXPECT_EQ(reader.ReadU64(), greedy.frontier_size());
+}
+
 TEST(CrawlCheckpointTest, SaveLoadFileRoundTrip) {
   std::string image = MidCrawlImage("greedy", /*with_faults=*/false);
   const testing_util::ScopedTempDir dir;

@@ -37,6 +37,7 @@
 #include "src/server/faulty_server.h"
 #include "src/server/locked_interface.h"
 #include "src/server/web_db_server.h"
+#include "src/util/checkpoint_io.h"
 #include "tests/test_util.h"
 
 namespace deepcrawl {
@@ -690,6 +691,64 @@ TEST(ParallelCrawlerDifferentialTest,
         ExpectIdenticalWithCsv(reference.output, resumed,
                                "image=" + std::to_string(i));
       }
+    }
+  }
+}
+
+// Greedy-link checkpoints (opt-rank's included, which extends the
+// greedy heap) write only the heap's live entries, one per pending
+// value, while the in-memory heap also holds stale and already-taken
+// entries. Every checkpoint of a crawl must encode exactly the
+// frontier's size, some must have dropped entries, and a resume from an
+// early, a middle, and a late image must match the one-shot trace byte
+// for byte.
+TEST(ParallelCrawlerDifferentialTest, LiveHeapCheckpointResumesIdentically) {
+  struct Case {
+    const char* policy;
+    Env env;
+  };
+  for (const Case& c : {Case{"greedy", MovieEnv()},
+                        Case{"opt-rank", AdversarialEnv()}}) {
+    SCOPED_TRACE(c.policy);
+    const CrawlOptions options;
+    WebDbServer backend(*c.env.target, c.env.server_options);
+    LocalStore store;
+    std::unique_ptr<QuerySelector> selector =
+        MakeSelector(c.policy, store, c.env);
+    const auto& greedy = dynamic_cast<const GreedyLinkSelector&>(*selector);
+    std::vector<std::string> images;
+    bool dropped_entries = false;
+    EngineOptions engine_options;
+    engine_options.checkpoint_every_waves = 1;
+    engine_options.checkpoint_sink = [&](const CrawlEngine& engine) {
+      CheckpointWriter writer;
+      DEEPCRAWL_RETURN_IF_ERROR(greedy.SaveState(writer));
+      CheckpointReader reader(writer.buffer());
+      EXPECT_EQ(reader.ReadU64(), greedy.frontier_size());
+      if (greedy.heap_size() > greedy.frontier_size()) dropped_entries = true;
+      DEEPCRAWL_ASSIGN_OR_RETURN(std::string image,
+                                 EncodeCrawlCheckpoint(engine, nullptr));
+      images.push_back(std::move(image));
+      return Status::OK();
+    };
+    RetryPolicy retry((RetryPolicyConfig()));
+    CrawlEngine engine(backend, *selector, store, options, engine_options,
+                       /*abort_policy=*/nullptr, &retry);
+    engine.AddSeed(c.env.seed_value);
+    StatusOr<CrawlResult> result = engine.Run();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const RunOutput reference =
+        Capture(*result, store, engine.clock().now());
+    EXPECT_TRUE(dropped_entries) << "no checkpoint dropped a heap entry";
+    ASSERT_FALSE(images.empty());
+    const size_t last = images.size() - 1;
+    for (size_t i : std::set<size_t>{0, last / 2, last}) {
+      RunOutput resumed = ResumeFromImage(c.env, images[i], c.policy, "none",
+                                          options, /*threads=*/1,
+                                          /*batch=*/1);
+      ExpectIdenticalWithCsv(reference, resumed,
+                             std::string(c.policy) + "/image=" +
+                                 std::to_string(i));
     }
   }
 }

@@ -12,9 +12,11 @@
 #include <initializer_list>
 #include <string>
 #include <system_error>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "src/crawler/local_store.h"
 #include "src/relation/table.h"
 #include "src/util/logging.h"
 
@@ -60,6 +62,23 @@ inline void FlipByteInPlace(const std::string& path, uint64_t offset) {
   file.put(static_cast<char>(byte ^ 0x40));
   DEEPCRAWL_CHECK(file.good()) << "cannot flip byte " << offset << " of "
                                << path;
+}
+
+// The G_local neighbors of `v` counted from the stored records alone:
+// the distinct values sharing a local record with `v`, in first
+// co-occurrence order (records in slot order, values in record order).
+inline std::vector<ValueId> LocalNeighborsBruteForce(const LocalStore& store,
+                                                     ValueId v) {
+  std::span<const uint32_t> postings = store.LocalPostings(v);
+  const std::vector<uint32_t> slots(postings.begin(), postings.end());
+  std::vector<ValueId> neighbors;
+  std::unordered_set<ValueId> seen;
+  for (uint32_t slot : slots) {
+    for (ValueId u : store.RecordValues(slot)) {
+      if (u != v && seen.insert(u).second) neighbors.push_back(u);
+    }
+  }
+  return neighbors;
 }
 
 // One test record: list of (attribute name, value text) pairs.

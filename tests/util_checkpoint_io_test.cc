@@ -82,20 +82,16 @@ TEST(WriteFileAtomicTest, ConcurrentWritersToOnePathNeverTear) {
       << "surviving file is a torn mix of both writers";
 }
 
-TEST(WriteFileAtomicTest, DeferredSyncThenSyncFileDurable) {
-  // The deferred-sync variant must still be atomic-by-rename and
-  // readable immediately; SyncFileDurable then upgrades it to durable
-  // without changing content.
+TEST(WriteFileAtomicTest, SyncFileDurableOnWrittenFileKeepsContent) {
+  // SyncFileDurable fsyncs an existing file and its directory without
+  // changing the content.
   const testing_util::ScopedTempDir dir;
-  const std::string path = dir.path() + "/atomic_deferred.bin";
-  ASSERT_TRUE(WriteFileAtomicDeferredSync(path, "lazy bytes").ok());
+  const std::string path = dir.path() + "/atomic_synced.bin";
+  ASSERT_TRUE(WriteFileAtomic(path, "synced bytes").ok());
+  ASSERT_TRUE(SyncFileDurable(path).ok());
   StatusOr<std::string> read = ReadFileBytes(path);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, "lazy bytes");
-  ASSERT_TRUE(SyncFileDurable(path).ok());
-  read = ReadFileBytes(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, "lazy bytes");
+  EXPECT_EQ(*read, "synced bytes");
 }
 
 TEST(WriteFileAtomicTest, SyncMissingFileIsInternal) {
@@ -105,12 +101,12 @@ TEST(WriteFileAtomicTest, SyncMissingFileIsInternal) {
 }
 
 TEST(WriteFileAtomicTest, NoTempFilesLeftBehind) {
-  // Both variants clean up: after successful writes the directory
-  // holds only the destination (plus whatever else the suite left).
+  // After successful writes the directory holds only the destination
+  // (plus whatever else the suite left).
   const testing_util::ScopedTempDir dir;
   const std::string path = dir.path() + "/atomic_clean.bin";
   ASSERT_TRUE(WriteFileAtomic(path, "x").ok());
-  ASSERT_TRUE(WriteFileAtomicDeferredSync(path, "y").ok());
+  ASSERT_TRUE(WriteFileAtomic(path, "y").ok());
   // Any leftover temp would match <path>.tmp.<pid>.<seq>; probing the
   // first few sequence numbers for this process's pid is a smoke check
   // that renames consumed the temps.

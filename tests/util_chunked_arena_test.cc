@@ -39,10 +39,10 @@ TEST(ChunkedArenaAccountingTest, CompactionCountsAbandonedCompactedChunk) {
   int compactions = 0;
   for (int cycle = 0; cycle < 14; ++cycle) {
     for (int row = 0; row < kRows; ++row) {
-      size_t n = arena.RowSize(row) == 0 ? 5 : arena.RowSize(row) + 1;
+      size_t n = arena.Row(row).size() == 0 ? 5 : arena.Row(row).size() + 1;
       for (size_t i = 0; i < n; ++i) {
         size_t garbage_before = arena.arena_garbage();
-        size_t row_before = arena.RowSize(row);
+        size_t row_before = arena.Row(row).size();
         arena.Append(row, static_cast<uint32_t>(row));
         size_t garbage_after = arena.arena_garbage();
         if (garbage_after < garbage_before) {

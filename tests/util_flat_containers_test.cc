@@ -94,10 +94,10 @@ TEST(ChunkedArenaTest, AppendAndReadBackSingleRow) {
   ChunkedArena<uint32_t> arena;
   arena.EnsureRows(1);
   EXPECT_EQ(arena.num_rows(), 1u);
-  EXPECT_EQ(arena.RowSize(0), 0u);
+  EXPECT_EQ(arena.Row(0).size(), 0u);
   EXPECT_TRUE(arena.Row(0).empty());
   for (uint32_t i = 0; i < 100; ++i) arena.Append(0, i * 3);
-  ASSERT_EQ(arena.RowSize(0), 100u);
+  ASSERT_EQ(arena.Row(0).size(), 100u);
   for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(arena.Row(0)[i], i * 3);
   EXPECT_EQ(arena.size(), 100u);
 }
@@ -117,7 +117,7 @@ TEST(ChunkedArenaTest, InterleavedRowsPreserveOrderThroughRelocation) {
   }
   EXPECT_EQ(arena.size(), uint64_t{kRows} * kPerRow);
   for (uint32_t row = 0; row < kRows; ++row) {
-    ASSERT_EQ(arena.RowSize(row), kPerRow);
+    ASSERT_EQ(arena.Row(row).size(), kPerRow);
     auto span = arena.Row(row);
     for (uint32_t i = 0; i < kPerRow; ++i) {
       ASSERT_EQ(span[i], static_cast<uint64_t>(row) * 1000000 + i);
@@ -165,7 +165,7 @@ TEST(ChunkedArenaTest, EnsureRowsGrowsIncrementally) {
   EXPECT_EQ(arena.num_rows(), 5u);
   EXPECT_EQ(arena.Row(0)[0], 10u);
   EXPECT_EQ(arena.Row(1)[0], 11u);
-  EXPECT_EQ(arena.RowSize(4), 0u);
+  EXPECT_EQ(arena.Row(4).size(), 0u);
 }
 
 }  // namespace

@@ -84,6 +84,11 @@ kill_resume_differential() {
 
 echo "=== pass 1/10: plain build (build/) ==="
 run_suite build
+# The crawl benchmark's own suite (decorated, traced and reference
+# crawls agree byte for byte), built from crawlbench/'s CMake package.
+cmake -B build/crawlbench -S crawlbench
+cmake --build build/crawlbench -j --target crawlbench_tests
+ctest --test-dir build/crawlbench --output-on-failure
 
 skip_asan=0
 skip_tsan=0
