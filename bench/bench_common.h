@@ -27,7 +27,6 @@
 
 #include "src/crawler/crawl_engine.h"
 #include "src/crawler/local_store.h"
-#include "src/crawler/parallel_crawler.h"
 #include "src/crawler/query_selector.h"
 #include "src/relation/table.h"
 #include "src/server/query_interface.h"
@@ -50,33 +49,14 @@ inline void PrintBanner(const std::string& artifact,
 // a fault-injecting proxy) with `selector`, seeded with `seed_value`,
 // and returns the result. Resets the server meters first so rounds are
 // per-crawl. Aborts on crawl errors (bench fixtures are valid).
+// `engine_options` selects threads/batch; `server` must already be
+// thread-safe when threads > 1 (wrap it in a LockedQueryInterface).
 inline CrawlResult RunCrawl(QueryInterface& server, QuerySelector& selector,
                             LocalStore& store, const CrawlOptions& options,
                             ValueId seed_value,
-                            const RetryPolicy* retry_policy = nullptr) {
+                            const RetryPolicy* retry_policy = nullptr,
+                            const EngineOptions& engine_options = {}) {
   server.ResetMeters();
-  CrawlEngine engine(server, selector, store, options, EngineOptions{},
-                     /*abort_policy=*/nullptr, retry_policy);
-  engine.AddSeed(seed_value);
-  StatusOr<CrawlResult> result = engine.Run();
-  DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
-  return std::move(*result);
-}
-
-// Parallel counterpart of RunCrawl: crawls through the batched wave
-// engine. `server` must already be thread-safe when parallel.threads >
-// 1 (wrap it in a LockedQueryInterface). The caller's trace/coverage
-// expectations carry over: batch == 1 reproduces RunCrawl exactly.
-inline CrawlResult RunParallelCrawl(QueryInterface& server,
-                                    QuerySelector& selector, LocalStore& store,
-                                    const CrawlOptions& options,
-                                    const ParallelOptions& parallel,
-                                    ValueId seed_value,
-                                    const RetryPolicy* retry_policy = nullptr) {
-  server.ResetMeters();
-  EngineOptions engine_options;
-  engine_options.threads = parallel.threads;
-  engine_options.batch = parallel.batch;
   CrawlEngine engine(server, selector, store, options, engine_options,
                      /*abort_policy=*/nullptr, retry_policy);
   engine.AddSeed(seed_value);

@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/datagen/canned_workloads.h"
 #include "src/datagen/workload_config.h"
@@ -37,7 +37,7 @@ int main() {
   GreedyLinkSelector selector(store);
   CrawlOptions options;
   options.max_rounds = kSliceRounds;
-  Crawler crawler(server, selector, store, options);
+  CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(3);
 
   TablePrinter table({"rounds", "records", "est. |DB|", "est. coverage",

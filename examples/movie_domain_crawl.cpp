@@ -12,7 +12,7 @@
 
 #include <iostream>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/datagen/movie_domain.h"
 #include "src/domain/domain_selector.h"
@@ -62,7 +62,7 @@ int main() {
     LocalStore store;
     DomainSelector selector(store, dt, server_options.page_size);
     server.ResetMeters();
-    Crawler crawler(server, selector, store, crawl_options);
+    CrawlEngine crawler(server, selector, store, crawl_options);
     StatusOr<CrawlResult> result = crawler.Run();
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
@@ -86,7 +86,7 @@ int main() {
     LocalStore store;
     GreedyLinkSelector selector(store);
     server.ResetMeters();
-    Crawler crawler(server, selector, store, crawl_options);
+    CrawlEngine crawler(server, selector, store, crawl_options);
     ValueId seed = 0;
     while (target.value_frequency(seed) == 0) ++seed;
     crawler.AddSeed(seed);

@@ -8,7 +8,7 @@
 
 #include <iostream>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/scripted_selector.h"
 #include "src/datagen/canned_workloads.h"
@@ -69,7 +69,7 @@ int main() {
     LocalStore store;
     ScriptedSelector selector(use_cover ? cover.values : wmds.vertices);
     server.ResetMeters();
-    Crawler crawler(server, selector, store, CrawlOptions{});
+    CrawlEngine crawler(server, selector, store, CrawlOptions{});
     StatusOr<CrawlResult> result = crawler.Run();
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
@@ -85,7 +85,7 @@ int main() {
     GreedyLinkSelector selector(store);
     server.ResetMeters();
     CrawlOptions options;
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     ValueId seed = 0;
     while (db.value_frequency(seed) == 0) ++seed;
     crawler.AddSeed(seed);

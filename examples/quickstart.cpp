@@ -9,12 +9,12 @@
 //   WebDbServer         — the query interface (pages, counts, costs)
 //   LocalStore          — the crawler's local database DBlocal
 //   GreedyLinkSelector  — a query selection policy
-//   Crawler             — the query-harvest-decompose loop
+//   CrawlEngine         — the query-harvest-decompose loop
 
 #include <iostream>
 #include <vector>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/relation/table.h"
 #include "src/server/web_db_server.h"
@@ -64,7 +64,7 @@ int main() {
   // --- 3. crawl it -------------------------------------------------------
   LocalStore store;
   GreedyLinkSelector selector(store);
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   // The crawler starts from one seed attribute value it happens to know.
   crawler.AddSeed(cars.catalog().Find(brand, "Toyota"));
 

@@ -15,7 +15,7 @@
 
 #include <iostream>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/retry_policy.h"
 #include "src/datagen/canned_workloads.h"
@@ -49,8 +49,8 @@ int main() {
 
   LocalStore store;
   GreedyLinkSelector selector(store);
-  Crawler crawler(server, selector, store, CrawlOptions{},
-                  /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(server, selector, store, CrawlOptions{}, EngineOptions{},
+                      /*abort_policy=*/nullptr, &retry);
   ValueId seed_value = 0;
   while (db->value_frequency(seed_value) == 0) ++seed_value;
   crawler.AddSeed(seed_value);

@@ -291,9 +291,9 @@ Status CrawlEngine::CommitFetch(std::optional<Slot>& slot_box,
   }
   slot.next_page += 1;
   if (options_.max_rounds > 0 && rounds_used_ >= options_.max_rounds) {
-    // Budget expired mid-drain: the slot stays parked (the serial
-    // crawler's PendingDrain); the abort policy is deliberately not
-    // consulted, matching the serial check order.
+    // Budget expired mid-drain: the slot stays parked for the next
+    // Run(); the abort policy is deliberately not consulted (check
+    // order: target, budget-park, abort policy).
     return Status::OK();
   }
   if (abort_policy_ != nullptr) {
@@ -336,11 +336,11 @@ StatusOr<CrawlResult> CrawlEngine::Run() {
           if (!saved.ok()) return saved;
         }
       }
-      // Evaluate stop conditions (priority matches the historical serial
-      // loop exactly — target, budget, frontier) and build the next
-      // wave. While a wave is in progress these checks are deliberately
-      // skipped: the wave is an atomic unit of the crawl order, so an
-      // interrupted one must finish before anything else.
+      // Evaluate stop conditions (priority: target, budget, frontier)
+      // and build the next wave. While a wave is in progress these
+      // checks are deliberately skipped: the wave is an atomic unit of
+      // the crawl order, so an interrupted one must finish before
+      // anything else.
       if (options_.target_records > 0 &&
           store_.num_records() >= options_.target_records) {
         return MakeResult(StopReason::kTargetReached);

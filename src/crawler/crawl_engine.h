@@ -1,12 +1,7 @@
-// CrawlEngine: the single wave-based crawl loop behind both the serial
-// and the parallel crawler (DESIGN.md §10).
-//
-// Earlier releases maintained two engines — a serial drain loop
-// (Crawler) and a batched wave loop (ParallelCrawler) — whose
-// determinism equivalence (batch == 1 ≡ serial, bit-identically) held
-// only by keeping two copies of the retry/requeue, pending-drain,
-// budget-slicing, and trace-commit logic in sync. This class collapses
-// them into one engine, layered as:
+// CrawlEngine: the paper's query-harvest-decompose loop (§1, §2.5), run
+// as waves of page fetches. One engine serves every configuration — the
+// serial crawl (threads == 1, batch == 1) and the batched, multi-threaded
+// one (DESIGN.md §10) — layered as:
 //
 //   * the wave planner/committer (this class): selector ranking, slot
 //     refill, strict slot-rank commit order, retry/backoff via the
@@ -19,12 +14,12 @@
 //     closures run; every task writes its own rank-indexed result cell
 //     and the commit phase consumes cells strictly by rank, so the
 //     executor choice is invisible to the crawl output *by
-//     construction* — there is no second loop to keep in sync.
+//     construction*.
 //
-// The determinism contract is unchanged (and still proven by
+// The determinism contract (proven by
 // tests/crawler_parallel_differential_test.cc):
-//   * batch == 1 reproduces the historical serial crawl bit-identically
-//     at any thread count;
+//   * batch == 1 is the serial crawl order, bit-identically at any
+//     thread count;
 //   * at any batch, output is a pure function of (seed, batch); thread
 //     count affects wall-clock only;
 //   * batch > 1 is semantic: each wave picks its top-B frontier
@@ -37,9 +32,6 @@
 // restore + continue emits the SAME trace CSV byte-for-byte as the
 // uninterrupted run. See src/crawler/checkpoint.h for the file format
 // and the whole-crawl orchestration (including fault-proxy state).
-//
-// The old Crawler / ParallelCrawler classes survive as thin
-// compatibility shims over this engine (crawler.h, parallel_crawler.h).
 
 #ifndef DEEPCRAWL_CRAWLER_CRAWL_ENGINE_H_
 #define DEEPCRAWL_CRAWLER_CRAWL_ENGINE_H_
@@ -115,8 +107,7 @@ struct CrawlResult {
 };
 
 // Builds the CrawlResult snapshot every stop path returns — the one
-// place stop-reason resolution materializes a result (formerly a lambda
-// duplicated between the two engines).
+// place stop-reason resolution materializes a result.
 CrawlResult MakeCrawlResult(StopReason reason, uint64_t rounds,
                             uint64_t queries, uint64_t records,
                             const CrawlTrace& trace);
@@ -175,11 +166,10 @@ class ThreadPoolFetchExecutor : public FetchExecutor {
   std::vector<std::function<void()>> tasks_;
 };
 
-// Graceful-degradation bookkeeping shared by every engine configuration
-// (formerly copy-pasted between the serial and parallel engines): given
-// a failed page fetch, decides retry / re-queue / abandon / fail, and
-// owns the ResilienceCounters accumulation plus the frontier-tail retry
-// queue those decisions feed.
+// Graceful-degradation bookkeeping shared by every engine configuration:
+// given a failed page fetch, decides retry / re-queue / abandon / fail,
+// and owns the ResilienceCounters accumulation plus the frontier-tail
+// retry queue those decisions feed.
 class DegradationTracker {
  public:
   enum class FailureAction {
@@ -230,7 +220,7 @@ struct EngineOptions {
   uint64_t checkpoint_every_waves = 0;
   // Called at checkpoint boundaries (typically SaveCrawlCheckpoint); a
   // non-OK return fails the crawl with that status.
-  std::function<Status(const CrawlEngine&)> checkpoint_sink;
+  std::function<Status(const CrawlEngine&)> checkpoint_sink = nullptr;
   // When set, the engine fetches through this executor instead of
   // constructing its own, and `threads` is ignored. A fleet points every
   // source's engine at one shared pool so N sources never spawn N pools;

@@ -190,6 +190,7 @@ RecordId LocalStore::OriginalRecordId(uint32_t slot) const {
 
 uint32_t LocalStore::ObservationCount(uint32_t slot) const {
   if (paged_ != nullptr) return paged_->ObservationCount(slot);
+  DEEPCRAWL_CHECK_LT(slot, num_records()) << "local record slot out of range";
   return observation_count_[slot];
 }
 

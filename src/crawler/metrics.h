@@ -4,7 +4,7 @@
 // Figure 3 plots communication rounds needed to reach a coverage level;
 // Figures 5 and 6 plot coverage reached within a round budget. Both are
 // projections of the same monotone trace (rounds, records-harvested)
-// that the Crawler appends to after every page fetch.
+// that the CrawlEngine appends to after every page fetch.
 
 #ifndef DEEPCRAWL_CRAWLER_METRICS_H_
 #define DEEPCRAWL_CRAWLER_METRICS_H_
@@ -102,9 +102,9 @@ class CrawlTrace {
 
   // Appends a whole crawl wave of points in one call, with the same
   // collapsing/monotonicity semantics as point-by-point Add. The
-  // batched engine buffers each wave's per-page points and flushes them
+  // CrawlEngine buffers each wave's per-page points and flushes them
   // through this single append, so trace emission never assumes one
-  // writer per page (see parallel_crawler.cc and the regression test in
+  // writer per page (see the regression test in
   // tests/crawler_trace_wave_test.cc).
   void AddWave(std::span<const TracePoint> points);
 

@@ -29,9 +29,9 @@
 // in the issued bitmap at harvest time) or before (backfill path), and
 // the bitmap guard makes the backfill fire once per value.
 // RecomputeBatch then ranks candidates from the cached counters instead
-// of rescanning postings × record values per batch — the pre-PR scan
-// stays available behind MmmiOptions::reference_scoring (CLI
-// --mmmi-reference) as the differential-test yardstick. Both paths
+// of rescanning postings × record values per batch — the full rescan
+// stays available behind MmmiOptions::reference_scoring as the
+// differential-test yardstick. Both paths
 // aggregate a candidate's (partner, count) pairs sorted ascending by
 // partner id through one shared routine, so floating-point sums are
 // bit-identical regardless of which path produced the counts. See

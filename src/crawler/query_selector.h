@@ -2,19 +2,19 @@
 //
 // §2.5 describes the Web database crawler as Query Selector + Database
 // Prober + Result Extractor around three data structures (Lto-query,
-// Lqueried, statistics table). The Crawler class owns the prober/
+// Lqueried, statistics table). The CrawlEngine owns the prober/
 // extractor loop and the queried/pending bookkeeping; concrete
 // QuerySelector implementations own the ordering of Lto-query — which is
 // precisely where the paper's techniques differ.
 //
 // Lifecycle per crawl step:
-//   1. Crawler calls SelectNext() -> candidate value (or kInvalidValueId
-//      when the frontier is exhausted).
-//   2. Crawler probes the server page by page; each *new* record is added
-//      to the LocalStore and reported via OnRecordHarvested(); each value
-//      never seen before is reported via OnValueDiscovered() (it entered
-//      Lto-query).
-//   3. Crawler reports OnQueryCompleted() with the query's outcome; the
+//   1. The engine calls SelectNext() -> candidate value (or
+//      kInvalidValueId when the frontier is exhausted).
+//   2. The engine probes the server page by page; each *new* record is
+//      added to the LocalStore and reported via OnRecordHarvested();
+//      each value never seen before is reported via OnValueDiscovered()
+//      (it entered Lto-query).
+//   3. The engine reports OnQueryCompleted() with the query's outcome; the
 //      value has moved to Lqueried.
 //
 // Selectors read shared statistics from the LocalStore (passed at

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/util/logging.h"
 #include "src/util/random.h"
 
@@ -52,7 +52,7 @@ StatusOr<SizeEstimationReport> EstimateDatabaseSize(
     CrawlOptions crawl_options;
     crawl_options.max_rounds = options.rounds_per_crawl;
     server.ResetMeters();
-    Crawler crawler(server, *selector, store, crawl_options);
+    CrawlEngine crawler(server, *selector, store, crawl_options);
     crawler.AddSeed(rng.NextBounded(static_cast<uint32_t>(num_values)));
     StatusOr<CrawlResult> result = crawler.Run();
     if (!result.ok()) return result.status();

@@ -11,8 +11,8 @@
 //     any QueryInterface, modelling the timeouts, rate limits, and
 //     truncated result lists of real sources (§5.4).
 //
-// The Crawler depends only on this interface, so the same crawl loop
-// (and every selection policy) runs unchanged against the perfect
+// The CrawlEngine depends only on this interface, so the same crawl
+// loop (and every selection policy) runs unchanged against the perfect
 // simulator, the fault proxy, or a future live-HTTP adapter.
 
 #ifndef DEEPCRAWL_SERVER_QUERY_INTERFACE_H_

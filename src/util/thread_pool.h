@@ -1,9 +1,9 @@
 // ThreadPool: a fixed-size worker pool with a single FIFO task queue.
 //
-// The parallel crawl engine (src/crawler/parallel_crawler.h) issues its
-// page fetches in waves: every wave submits up to `batch` independent
-// fetch tasks and blocks until all of them finished, then commits the
-// results sequentially. That access pattern needs nothing fancier than a
+// The crawl engine (src/crawler/crawl_engine.h) issues its page fetches
+// in waves: every wave submits up to `batch` independent fetch tasks
+// and blocks until all of them finished, then commits the results
+// sequentially. That access pattern needs nothing fancier than a
 // mutex-guarded queue — no work stealing, no futures, no task graph —
 // so that is all this pool provides, keeping the concurrency substrate
 // small enough to audit (and to run under ThreadSanitizer in CI, see

@@ -1,7 +1,7 @@
-// End-to-end tests of the Crawler loop against small fixture databases,
-// including a replay of the paper's Example 2.1.
+// End-to-end tests of the crawl loop (CrawlEngine) against small
+// fixture databases, including a replay of the paper's Example 2.1.
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,7 @@ TEST(CrawlerTest, Figure1CrawlFromA2ReachesEverything) {
   WebDbServer server(table, SmallPages());
   LocalStore store;
   BfsSelector selector;
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   crawler.AddSeed(GetValueId(table, "A", "a2"));
 
   StatusOr<CrawlResult> result = crawler.Run();
@@ -50,7 +50,7 @@ TEST(CrawlerTest, FirstQueryHarvestsSeedNeighborhood) {
   BfsSelector selector;
   CrawlOptions options;
   options.max_rounds = 2;  // 3 matched records, 2 per page -> 2 rounds
-  Crawler crawler(server, selector, store, options);
+  CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(GetValueId(table, "A", "a2"));
 
   StatusOr<CrawlResult> result = crawler.Run();
@@ -75,7 +75,7 @@ TEST(CrawlerTest, DisconnectedComponentStaysUnreached) {
   WebDbServer server(table, SmallPages());
   LocalStore store;
   BfsSelector selector;
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   crawler.AddSeed(GetValueId(table, "X", "x1"));
 
   StatusOr<CrawlResult> result = crawler.Run();
@@ -91,7 +91,7 @@ TEST(CrawlerTest, RoundBudgetStopsMidCrawl) {
   BfsSelector selector;
   CrawlOptions options;
   options.max_rounds = 1;
-  Crawler crawler(server, selector, store, options);
+  CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(GetValueId(table, "A", "a2"));
 
   StatusOr<CrawlResult> result = crawler.Run();
@@ -108,7 +108,7 @@ TEST(CrawlerTest, TargetRecordsStopsEarly) {
   BfsSelector selector;
   CrawlOptions options;
   options.target_records = 3;
-  Crawler crawler(server, selector, store, options);
+  CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(GetValueId(table, "A", "a2"));
 
   StatusOr<CrawlResult> result = crawler.Run();
@@ -124,7 +124,7 @@ TEST(CrawlerTest, ResumeAfterBudgetContinues) {
   BfsSelector selector;
   CrawlOptions options;
   options.max_rounds = 1;
-  Crawler crawler(server, selector, store, options);
+  CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(GetValueId(table, "A", "a2"));
 
   ASSERT_TRUE(crawler.Run().ok());
@@ -140,7 +140,7 @@ TEST(CrawlerTest, SeedsAreDeduplicated) {
   WebDbServer server(table, SmallPages());
   LocalStore store;
   BfsSelector selector;
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   ValueId a2 = GetValueId(table, "A", "a2");
   crawler.AddSeed(a2);
   crawler.AddSeed(a2);  // ignored
@@ -156,7 +156,7 @@ TEST(CrawlerTest, TraceIsMonotoneAndEndsAtTotals) {
   WebDbServer server(table, SmallPages());
   LocalStore store;
   GreedyLinkSelector selector(store);
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   crawler.AddSeed(GetValueId(table, "C", "c2"));
 
   StatusOr<CrawlResult> result = crawler.Run();
@@ -176,7 +176,7 @@ TEST(CrawlerTest, EveryQueryCostsAtLeastOneRound) {
   WebDbServer server(table, SmallPages());
   LocalStore store;
   DfsSelector selector;
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   crawler.AddSeed(GetValueId(table, "A", "a2"));
 
   StatusOr<CrawlResult> result = crawler.Run();

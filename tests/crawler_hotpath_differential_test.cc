@@ -25,12 +25,11 @@
 #include <string>
 #include <vector>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
-#include "src/crawler/parallel_crawler.h"
 #include "src/crawler/retry_policy.h"
 #include "src/crawler/trace_io.h"
 #include "src/datagen/movie_domain.h"
@@ -171,17 +170,17 @@ RunOutput RunVariant(const std::string& policy,
       MakeSelector(policy, store, variant);
   RetryPolicy retry((RetryPolicyConfig()));
   if (threads == 0) {
-    Crawler crawler(*direct, *selector, store, options,
-                    /*abort_policy=*/nullptr, &retry);
+    CrawlEngine crawler(*direct, *selector, store, options, EngineOptions{},
+                        /*abort_policy=*/nullptr, &retry);
     crawler.AddSeed(FirstQueriableSeed(target));
     StatusOr<CrawlResult> result = crawler.Run();
     DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
     return Capture(*result, store, crawler.clock().now());
   }
   LockedQueryInterface server(*direct);
-  ParallelCrawler crawler(server, *selector, store, options,
-                          ParallelOptions{threads, batch},
-                          /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(server, *selector, store, options,
+                      EngineOptions{.threads = threads, .batch = batch},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();

@@ -164,5 +164,19 @@ TEST(LocalStoreDeathTest, EmptyRecordAborts) {
   EXPECT_DEATH(store.AddRecord(0, {}), "no values");
 }
 
+TEST(LocalStoreDeathTest, SlotOutOfRangeAborts) {
+  for (LocalStore::Layout layout :
+       {LocalStore::Layout::kCsr, LocalStore::Layout::kReference}) {
+    LocalStore::Options options;
+    options.layout = layout;
+    LocalStore store(options);
+    store.AddRecord(7, V({1, 2}));
+    const uint32_t past_end = store.num_records();
+    EXPECT_DEATH(store.RecordValues(past_end), "slot out of range");
+    EXPECT_DEATH(store.OriginalRecordId(past_end), "slot out of range");
+    EXPECT_DEATH(store.ObservationCount(past_end), "slot out of range");
+  }
+}
+
 }  // namespace
 }  // namespace deepcrawl

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/server/web_db_server.h"
@@ -112,7 +112,7 @@ TEST(MmmiBehaviorTest, EndToEndTwinDatabaseFavorsMmmi) {
     LocalStore store;
     GreedyLinkSelector selector(store);
     server.ResetMeters();
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(GetValueId(table, "Category", "c0"));
     rounds_greedy = crawler.Run()->rounds;
   }
@@ -120,7 +120,7 @@ TEST(MmmiBehaviorTest, EndToEndTwinDatabaseFavorsMmmi) {
     LocalStore store;
     MmmiSelector selector(store);
     server.ResetMeters();
-    Crawler crawler(server, selector, store, options);
+    CrawlEngine crawler(server, selector, store, options);
     crawler.AddSeed(GetValueId(table, "Category", "c0"));
     rounds_mmmi = crawler.Run()->rounds;
   }

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <limits>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/server/web_db_server.h"
 #include "tests/test_util.h"
 
@@ -145,7 +145,7 @@ TEST(MmmiSelectorTest, FullCrawlWithSaturationSwitchCompletes) {
   MmmiSelector selector(store);
   CrawlOptions crawl_options;
   crawl_options.saturation_records = table.num_records() / 2;
-  Crawler crawler(server, selector, store, crawl_options);
+  CrawlEngine crawler(server, selector, store, crawl_options);
   crawler.AddSeed(GetValueId(table, "Community", "c0"));
 
   StatusOr<CrawlResult> result = crawler.Run();

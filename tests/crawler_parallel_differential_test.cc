@@ -3,8 +3,8 @@
 // profile, and thread-count invariance at every batch size.
 //
 // The determinism contract under test (DESIGN.md §8):
-//   * ParallelCrawler with batch == 1 is BIT-IDENTICAL to the serial
-//     Crawler — same trace points, resilience counters, stop reason,
+//   * the engine with batch == 1 is BIT-IDENTICAL to the serial
+//     configuration — same trace points, resilience counters, stop reason,
 //     meters, and harvest order — at any thread count;
 //   * at any batch size, the output is a pure function of the seed and
 //     the batch: thread count never changes anything but wall-clock.
@@ -23,13 +23,11 @@
 #include "src/crawler/abort_policy.h"
 #include "src/crawler/checkpoint.h"
 #include "src/crawler/crawl_engine.h"
-#include "src/crawler/crawler.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/local_store.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/crawler/optimal_selector.h"
-#include "src/crawler/parallel_crawler.h"
 #include "src/crawler/retry_policy.h"
 #include "src/crawler/trace_io.h"
 #include "src/datagen/adversarial_workload.h"
@@ -202,8 +200,8 @@ RunOutput RunSerial(const Env& env, const std::string& policy,
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
-  Crawler crawler(*server, *selector, store, options,
-                  /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(*server, *selector, store, options, EngineOptions{},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
@@ -226,9 +224,9 @@ RunOutput RunParallel(const Env& env, const std::string& policy,
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector(policy, store, env);
   RetryPolicy retry((RetryPolicyConfig()));
-  ParallelOptions parallel{threads, batch};
-  ParallelCrawler crawler(server, *selector, store, options, parallel,
-                          /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(server, *selector, store, options,
+                      EngineOptions{.threads = threads, .batch = batch},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(env.seed_value);
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
@@ -359,8 +357,8 @@ TEST(ParallelCrawlerDifferentialTest, SlicedRunsResumeExactly) {
   LocalStore store;
   std::unique_ptr<QuerySelector> selector = MakeSelector("greedy", store, env);
   RetryPolicy retry((RetryPolicyConfig()));
-  ParallelCrawler crawler(server, *selector, store, options,
-                          ParallelOptions{4, 3}, nullptr, &retry);
+  CrawlEngine crawler(server, *selector, store, options,
+                      EngineOptions{.threads = 4, .batch = 3}, nullptr, &retry);
   crawler.AddSeed(FirstQueriableSeed(target));
   StatusOr<CrawlResult> sliced = Status::Internal("never ran");
   for (uint64_t budget = 17;; budget += 17) {
@@ -602,14 +600,15 @@ TEST(ParallelCrawlerDifferentialTest, AbortPolicyEquivalence) {
     StatusOr<CrawlResult> result = Status::Internal("never ran");
     uint64_t ticks = 0;
     if (parallel) {
-      ParallelCrawler crawler(locked, *selector, store, options,
-                              ParallelOptions{4, 1}, &abort_policy, nullptr);
+      CrawlEngine crawler(locked, *selector, store, options,
+                          EngineOptions{.threads = 4, .batch = 1},
+                          &abort_policy, nullptr);
       crawler.AddSeed(FirstQueriableSeed(target));
       result = crawler.Run();
       ticks = crawler.clock().now();
     } else {
-      Crawler crawler(backend, *selector, store, options, &abort_policy,
-                      nullptr);
+      CrawlEngine crawler(backend, *selector, store, options, EngineOptions{},
+                          &abort_policy, nullptr);
       crawler.AddSeed(FirstQueriableSeed(target));
       result = crawler.Run();
       ticks = crawler.clock().now();

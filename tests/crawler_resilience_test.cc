@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/datagen/movie_domain.h"
@@ -71,8 +71,8 @@ TEST(CrawlerResilienceTest, DeterministicTraceUnderFaults) {
     LocalStore store;
     GreedyLinkSelector selector(store);
     RetryPolicy retry((RetryPolicyConfig()));
-    Crawler crawler(server, selector, store, CrawlOptions(),
-                    /*abort_policy=*/nullptr, &retry);
+    CrawlEngine crawler(server, selector, store, CrawlOptions(),
+                        EngineOptions{}, /*abort_policy=*/nullptr, &retry);
     crawler.AddSeed(FirstQueriableSeed(target));
     StatusOr<CrawlResult> result = crawler.Run();
     DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
@@ -100,8 +100,8 @@ TEST(CrawlerResilienceTest, CoverageParityUnderTransientFaults) {
   WebDbServer clean_server(target, ServerOptions());
   LocalStore clean_store;
   GreedyLinkSelector clean_selector(clean_store);
-  Crawler clean_crawler(clean_server, clean_selector, clean_store,
-                        CrawlOptions());
+  CrawlEngine clean_crawler(clean_server, clean_selector, clean_store,
+                            CrawlOptions());
   clean_crawler.AddSeed(seed_value);
   StatusOr<CrawlResult> clean = clean_crawler.Run();
   ASSERT_TRUE(clean.ok());
@@ -111,8 +111,8 @@ TEST(CrawlerResilienceTest, CoverageParityUnderTransientFaults) {
   LocalStore store;
   GreedyLinkSelector selector(store);
   RetryPolicy retry((RetryPolicyConfig()));
-  Crawler crawler(faulty, selector, store, CrawlOptions(),
-                  /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(faulty, selector, store, CrawlOptions(), EngineOptions{},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(seed_value);
   StatusOr<CrawlResult> faulted = crawler.Run();
   ASSERT_TRUE(faulted.ok());
@@ -132,7 +132,7 @@ TEST(CrawlerResilienceTest, AllZeroProfileCrawlMatchesBareServer) {
   WebDbServer bare(target, ServerOptions());
   LocalStore bare_store;
   GreedyLinkSelector bare_selector(bare_store);
-  Crawler bare_crawler(bare, bare_selector, bare_store, CrawlOptions());
+  CrawlEngine bare_crawler(bare, bare_selector, bare_store, CrawlOptions());
   bare_crawler.AddSeed(seed_value);
   StatusOr<CrawlResult> want = bare_crawler.Run();
   ASSERT_TRUE(want.ok());
@@ -142,8 +142,8 @@ TEST(CrawlerResilienceTest, AllZeroProfileCrawlMatchesBareServer) {
   LocalStore store;
   GreedyLinkSelector selector(store);
   RetryPolicy retry((RetryPolicyConfig()));
-  Crawler crawler(proxy, selector, store, CrawlOptions(),
-                  /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(proxy, selector, store, CrawlOptions(), EngineOptions{},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(seed_value);
   StatusOr<CrawlResult> got = crawler.Run();
   ASSERT_TRUE(got.ok());
@@ -170,8 +170,8 @@ TEST(CrawlerResilienceTest, RetryExhaustionRequeuesThenAbandons) {
   LocalStore store;
   BfsSelector selector;
   RetryPolicy retry((RetryPolicyConfig()));
-  Crawler crawler(server, selector, store, CrawlOptions(),
-                  /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(server, selector, store, CrawlOptions(), EngineOptions{},
+                      /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(GetValueId(table, "Brand", "toyota"));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
@@ -200,7 +200,7 @@ TEST(CrawlerResilienceTest, NoPolicyMeansFailuresAreFatal) {
 
   LocalStore store;
   BfsSelector selector;
-  Crawler crawler(server, selector, store, CrawlOptions());
+  CrawlEngine crawler(server, selector, store, CrawlOptions());
   crawler.AddSeed(GetValueId(table, "Brand", "toyota"));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_FALSE(result.ok());
@@ -221,8 +221,8 @@ TEST(CrawlerResilienceTest, MidDrainBudgetExpiryResumesWithoutReissuing) {
   WebDbServer clean_server(table, options);
   LocalStore clean_store;
   BfsSelector clean_selector;
-  Crawler clean_crawler(clean_server, clean_selector, clean_store,
-                        CrawlOptions());
+  CrawlEngine clean_crawler(clean_server, clean_selector, clean_store,
+                            CrawlOptions());
   clean_crawler.AddSeed(seed_value);
   StatusOr<CrawlResult> clean = clean_crawler.Run();
   ASSERT_TRUE(clean.ok());
@@ -236,8 +236,8 @@ TEST(CrawlerResilienceTest, MidDrainBudgetExpiryResumesWithoutReissuing) {
   LocalStore store;
   BfsSelector selector;
   RetryPolicy retry((RetryPolicyConfig()));
-  Crawler crawler(server, selector, store, CrawlOptions{.max_rounds = 2},
-                  /*abort_policy=*/nullptr, &retry);
+  CrawlEngine crawler(server, selector, store, CrawlOptions{.max_rounds = 2},
+                      EngineOptions{}, /*abort_policy=*/nullptr, &retry);
   crawler.AddSeed(seed_value);
 
   // Slice 1: page 0 harvested, then the failed fetch of page 1 exhausts

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/graph/attribute_value_graph.h"
 #include "src/graph/dominating_set.h"
 #include "src/graph/set_cover.h"
@@ -46,7 +46,7 @@ TEST(ScriptedSelectorTest, WmdsPlanDiscoversEveryValueButCanMissRecords) {
 
   LocalStore store;
   ScriptedSelector selector(plan.vertices);
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->queries, plan.vertices.size());
@@ -75,7 +75,7 @@ TEST(ScriptedSelectorTest, SetCoverPlanRetrievesEveryRecord) {
 
   LocalStore store;
   ScriptedSelector selector(plan.values);
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->records, table.num_records());
@@ -92,7 +92,7 @@ TEST(ScriptedSelectorTest, ScriptIsAuthoritativeOverDiscovery) {
   ValueId a2 = GetValueId(table, "A", "a2");
   LocalStore store;
   ScriptedSelector selector({a2, a2});  // deliberate duplicate
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->queries, 2u);  // the duplicate was really issued

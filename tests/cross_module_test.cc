@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/datagen/workload_config.h"
 #include "src/graph/attribute_value_graph.h"
@@ -47,7 +47,7 @@ TEST_P(CrossModuleTest, LocalGraphMatchesOfflineGraphAfterFullCrawl) {
   WebDbServer server(db, ServerOptions{});
   LocalStore store;
   BfsSelector selector;
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   crawler.AddSeed(0);
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());

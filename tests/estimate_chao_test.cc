@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/datagen/workload_config.h"
 #include "src/server/web_db_server.h"
@@ -83,7 +83,7 @@ TEST(Chao1Test, CrawlFedEstimateIsInTheRightBallpark) {
   RandomSelector selector(3);
   CrawlOptions options;
   options.max_rounds = 150;
-  Crawler crawler(server, selector, store, options);
+  CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(0);
   ASSERT_TRUE(crawler.Run().ok());
 
@@ -101,7 +101,7 @@ TEST(Chao1Test, EstimateConvergesToTruthOnFullCrawl) {
   WebDbServer server(table, ServerOptions{});
   LocalStore store;
   BfsSelector selector;
-  Crawler crawler(server, selector, store, CrawlOptions{});
+  CrawlEngine crawler(server, selector, store, CrawlOptions{});
   crawler.AddSeed(testing_util::GetValueId(table, "A", "a2"));
   ASSERT_TRUE(crawler.Run().ok());
   ChaoEstimate estimate = Chao1Estimate(store);

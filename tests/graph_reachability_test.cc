@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/naive_selectors.h"
 #include "src/server/web_db_server.h"
 #include "tests/test_util.h"
@@ -108,7 +108,7 @@ TEST(ReachabilityTest, CrawlNeverExceedsConvergenceCoverage) {
     WebDbServer server(table, ServerOptions{});
     LocalStore store;
     BfsSelector selector;
-    Crawler crawler(server, selector, store, CrawlOptions{});
+    CrawlEngine crawler(server, selector, store, CrawlOptions{});
     crawler.AddSeed(seed);
     StatusOr<CrawlResult> result = crawler.Run();
     ASSERT_TRUE(result.ok());

@@ -14,7 +14,7 @@
 
 #include <memory>
 
-#include "src/crawler/crawler.h"
+#include "src/crawler/crawl_engine.h"
 #include "src/crawler/greedy_link_selector.h"
 #include "src/crawler/mmmi_selector.h"
 #include "src/crawler/naive_selectors.h"
@@ -35,7 +35,7 @@ CrawlResult RunCrawl(const Table& table, WebDbServer& server,
                      QuerySelector& selector, LocalStore& store,
                      CrawlOptions options, uint32_t seed_index = 0) {
   server.ResetMeters();
-  Crawler crawler(server, selector, store, options);
+  CrawlEngine crawler(server, selector, store, options);
   crawler.AddSeed(seed_index % table.num_distinct_values());
   StatusOr<CrawlResult> result = crawler.Run();
   DEEPCRAWL_CHECK(result.ok()) << result.status().ToString();
@@ -241,7 +241,7 @@ TEST_P(CrawlInvariantTest, TerminatesConsistently) {
 
   CrawlOptions options;
   options.saturation_records = 300;
-  Crawler crawler(server, *selector, store, options);
+  CrawlEngine crawler(server, *selector, store, options);
   crawler.AddSeed(static_cast<ValueId>(seed % table->num_distinct_values()));
   StatusOr<CrawlResult> result = crawler.Run();
   ASSERT_TRUE(result.ok());

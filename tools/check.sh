@@ -30,19 +30,19 @@
 # UB bugs surface before they flake in production runs. The TSan pass
 # rebuilds into build-tsan/ with -DTSAN=ON (-fsanitize=thread; the two
 # sanitizers cannot be combined) and runs the concurrency tests — the
-# thread pool, the locked query interface, the parallel crawl engine's
-# differential/stress suites, and the sharded store — under the race
-# detector. The perf pass rebuilds into build-perf/ with
-# -DCMAKE_BUILD_TYPE=Release, runs the JSON bench suites, and fails on
-# >20% regression against the committed baselines via
-# tools/bench_compare.py (see README "Benchmarking").
+# thread pool, the locked query interface, and the parallel crawl
+# engine's differential/stress suites — under the race detector. The
+# perf pass rebuilds into build-perf/ with -DCMAKE_BUILD_TYPE=Release,
+# runs the JSON bench suites, and fails on >20% regression against the
+# committed baselines via tools/bench_compare.py (see README
+# "Benchmarking").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Test suites exercising threads; kept in tests/CMakeLists.txt's
 # deepcrawl_concurrency_tests binary (plus the property tests that ride
 # along with it).
-TSAN_FILTER='^(ThreadPoolTest|LockedInterfaceTest|AdaptiveDifferentialTest|ParallelCrawlerDifferentialTest|ParallelCrawlerStressTest|CrawlCheckpointTest|ShardedStoreTest|AvgInvariantsPropertyTest|TraceWaveTest|HotPathDifferentialTest|PagedDifferentialTest|CrawlFleetTest|FleetStressTest|OptimalSelectorTest|OptimalCompetitivePropertyTest|NetServerTest|NetDifferentialTest)'
+TSAN_FILTER='^(ThreadPoolTest|LockedInterfaceTest|AdaptiveDifferentialTest|ParallelCrawlerDifferentialTest|ParallelCrawlerStressTest|CrawlCheckpointTest|AvgInvariantsPropertyTest|TraceWaveTest|HotPathDifferentialTest|PagedDifferentialTest|CrawlFleetTest|FleetStressTest|OptimalSelectorTest|OptimalCompetitivePropertyTest|NetServerTest|NetDifferentialTest)'
 
 run_suite() {
   local build_dir="$1"; shift

@@ -73,7 +73,6 @@ struct Options {
   FaultFlagOptions fault;
 
   std::string policy = "greedy";
-  bool mmmi_reference = false;
   std::string rank_attribute = "range";
   std::string domain_input;
   int64_t page_size = 10;
@@ -91,9 +90,9 @@ struct Options {
   int64_t retry_attempts = 4;
   int64_t retry_requeues = 2;
 
-  // Parallel batched engine (src/crawler/parallel_crawler.h). Engaged
-  // whenever threads > 1 or batch > 1; threads=1 batch=1 keeps the
-  // serial crawler, byte-for-byte compatible with earlier releases.
+  // Engine configuration (EngineOptions, src/crawler/crawl_engine.h).
+  // threads=1 batch=1 is the serial crawl order; batch > 1 keeps that
+  // many drains in flight per wave, threads > 1 fetches on a pool.
   int64_t threads = 1;
   int64_t batch = 1;
   int64_t latency_us = 0;
@@ -314,13 +313,11 @@ Status Run(const Options& options) {
   LocalStore::Options store_options;
   if (options.layout == "csr") {
     store_options.layout = LocalStore::Layout::kCsr;
-  } else if (options.layout == "reference") {
-    store_options.layout = LocalStore::Layout::kReference;
   } else if (options.layout == "paged") {
     store_options.layout = LocalStore::Layout::kPaged;
   } else {
     return Status::InvalidArgument("bad --layout '" + options.layout +
-                                   "' (want csr, reference, or paged)");
+                                   "' (want csr or paged)");
   }
   if (store_options.layout == LocalStore::Layout::kPaged) {
     if (options.store_dir.empty()) {
@@ -349,7 +346,6 @@ Status Run(const Options& options) {
   selector_context.seed = static_cast<uint64_t>(options.seed);
   selector_context.page_size = server_options.page_size;
   selector_context.result_limit = server_options.result_limit;
-  selector_context.mmmi.reference_scoring = options.mmmi_reference;
   selector_context.target = &target;
   selector_context.rank_attribute = options.rank_attribute;
   selector_context.oracle_index = &backend.index();
@@ -525,10 +521,6 @@ int main(int argc, char** argv) {
   parser.AddString("rank-attribute", &options.rank_attribute,
                    "attribute carrying r<lo>-<hi> interval values for "
                    "--policy=opt-rank/opt-threshold");
-  parser.AddBool("mmmi-reference", &options.mmmi_reference,
-                 "score MMMI batches with the pre-optimization postings "
-                 "rescan instead of the incremental counters (identical "
-                 "output, slower; for differential checks / A-B timing)");
   parser.AddString("domain-input", &options.domain_input,
                    "TSV with a same-domain sample database (builds the "
                    "domain statistics table)");
@@ -591,9 +583,8 @@ int main(int argc, char** argv) {
                    "flags must rebuild the stack it was taken from "
                    "(--max-rounds/--target-coverage may be raised)");
   parser.AddString("layout", &options.layout,
-                   "statistics-table layout: csr (in-memory default), "
-                   "reference (pre-optimization containers), or paged "
-                   "(out-of-core page cache; needs --store-dir)");
+                   "statistics-table layout: csr (in-memory default) or "
+                   "paged (out-of-core page cache; needs --store-dir)");
   parser.AddString("store-dir", &options.store_dir,
                    "directory for the paged store's page and manifest "
                    "files (with --layout=paged)");
